@@ -157,16 +157,22 @@ def steps_to_tolerance(
 ) -> int:
     """Smallest j with |gamma_j| < tol.
 
-    Raises ConvergenceError past max_steps; del_lam = pi traps the iteration
-    at a fixed residual angle for almost every gamma, so that case is
-    expected to raise.
+    Raises ConvergenceError past max_steps, or once gamma_j repeats the
+    iterate at the last power-of-two step (Brent's cycle check): the run is
+    then periodic, as at del_lam = 0 or pi, or for tol below the floor.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    gamma_j = gamma
+    gamma_j, mark, mark_j = gamma, gamma, 0
     for j in range(max_steps + 1):
         if abs(gamma_j) < tol:
             return j
+        if gamma_j == mark and j > mark_j:
+            raise ConvergenceError(
+                f"|gamma_j| cycles with period {j - mark_j} at step {j}, never below {tol}"
+            )
+        if j & (j - 1) == 0:
+            mark, mark_j = gamma_j, j
         gamma_j -= dbar_gamma(gamma, gamma_j, del_lam)
     raise ConvergenceError(
         f"|gamma_j| did not fall below {tol} within {max_steps} steps"

@@ -1,10 +1,10 @@
 """Unstructured search over 2^nb basis states with the adaptive schedule.
 
 The start state is the uniform superposition, so the angle between start
-and target is gamma = 2 arccos(2^{-nb/2}) and the whole run stays inside
-the two-dimensional span of the target state and the uniform superposition
-of the rest.  Both phase operators act in O(2^nb) time as rank-1 updates;
-no 2^nb x 2^nb matrix is ever formed.
+and target is gamma = 2 arccos(2^{-nb/2}) and the run stays in the span of
+the target and the uniform superposition of the rest.  A run updates one
+vector of 16 * 2^nb bytes in place and holds O(1) more: both phase operators
+are rank-1 updates, three passes over memory per step, no 2^nb x 2^nb matrix.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class SearchState:
     nb: int
     amps: np.ndarray
     target_index: int
-
-    @property
-    def num_states(self) -> int:
-        return self.amps.size
 
     @property
     def gamma(self) -> float:
@@ -82,20 +78,27 @@ def init_uniform(nb: int, target_index: int = 0) -> SearchState:
     return SearchState(nb, amps, target_index)
 
 
+def _target_phase_inplace(amps: np.ndarray, target_index: int, factor: complex) -> None:
+    """e^{i phase |t><t|} with factor = e^{i phase}: scales the target amplitude."""
+    amps[target_index] *= factor
+
+
+def _sprime_phase_inplace(amps: np.ndarray, factor: complex) -> None:
+    """e^{i phase |s'><s'|}: adds (factor - 1) <s'|psi> |s'>, the mean in every entry."""
+    amps += (factor - 1.0) * amps.mean()
+
+
 def apply_target_phase(state: SearchState, phase: float) -> SearchState:
     """e^{i phase |t><t|}: multiplies the target amplitude alone."""
     amps = state.amps.copy()
-    amps[state.target_index] *= cmath.exp(1.0j * phase)
+    _target_phase_inplace(amps, state.target_index, cmath.exp(1.0j * phase))
     return SearchState(state.nb, amps, state.target_index)
 
 
 def apply_sprime_phase(state: SearchState, phase: float) -> SearchState:
-    """e^{i phase |s'><s'|} with |s'> uniform: psi += (e^{i phase} - 1) <s'|psi> |s'>.
-
-    <s'|psi> |s'> has every component equal to the mean amplitude, so the
-    update is a single broadcast add.
-    """
-    amps = state.amps + (cmath.exp(1.0j * phase) - 1.0) * state.amps.mean()
+    """e^{i phase |s'><s'|} with |s'> uniform, on a copy of the state."""
+    amps = state.amps.copy()
+    _sprime_phase_inplace(amps, cmath.exp(1.0j * phase))
     return SearchState(state.nb, amps, state.target_index)
 
 
@@ -112,8 +115,8 @@ def run_afga_search(
     steps (not converged; the trace is still returned so the caller can
     tell a stalled run from invalid input, which raises ValueError).  The
     default max_steps is ten times the step count predicted by the scalar
-    recursion; that prediction diverges for del_lam = pi, so pass max_steps
-    explicitly to study the trapped case.
+    recursion, which raises ConvergenceError where it cycles (del_lam = 0
+    or pi); pass max_steps explicitly to study the trapped case.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -129,11 +132,12 @@ def run_afga_search(
 
     success = [state.success_probability]
     angles = iter_angles(gamma, del_lam)
+    target_factor = cmath.exp(1.0j * del_lam)
     converged = success[-1] >= 1.0 - tol
     while not converged and len(success) <= max_steps:
         _, _, alpha_j = next(angles)
-        state = apply_target_phase(state, del_lam)
-        state = apply_sprime_phase(state, alpha_j)
+        _target_phase_inplace(state.amps, target_index, target_factor)
+        _sprime_phase_inplace(state.amps, cmath.exp(1.0j * alpha_j))
         success.append(state.success_probability)
         converged = success[-1] >= 1.0 - tol
     return SearchTrace(np.array(success), converged, gamma, del_lam)

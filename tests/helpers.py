@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -42,3 +44,34 @@ def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     """n rows of isotropic unit vectors in R^3."""
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def search_gamma(nb: int) -> float:
+    """Angle between the uniform state over 2^nb basis states and one of them."""
+    return 2.0 * math.acos(2.0 ** (-0.5 * nb))
+
+
+def two_amplitude_success(
+    nb: int, del_lam: float, alphas: Iterable[float], tol: float
+) -> np.ndarray:
+    """Success trace of the 2^nb search from two amplitudes instead of 2^nb.
+
+    The run stays in span{|t>, uniform rest}, so the target amplitude a and
+    the amplitude b shared by the other 2^nb - 1 states carry the whole
+    state.  The target phase multiplies a; the s'-phase adds
+    (e^{i alpha} - 1) times the mean amplitude (a + (n - 1) b) / n to both.
+    Stops at success >= 1 - tol or when alphas run out.
+    """
+    n = 2.0**nb
+    a = b = complex(2.0 ** (-0.5 * nb))
+    target_factor = cmath.exp(1.0j * del_lam)
+    success = [abs(a) ** 2]
+    for alpha_j in alphas:
+        if success[-1] >= 1.0 - tol:
+            break
+        a *= target_factor
+        shift = (cmath.exp(1.0j * alpha_j) - 1.0) * (a + (n - 1.0) * b) / n
+        a += shift
+        b += shift
+        success.append(abs(a) ** 2)
+    return np.array(success)

@@ -1,9 +1,12 @@
 """Recursion checks for the adaptive phase schedule."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afga.bloch import Y_HAT, Z_HAT, polar_unit_vec, rotate
 from afga.schedule import (
@@ -16,6 +19,7 @@ from afga.schedule import (
     iter_angles,
     steps_to_tolerance,
 )
+from helpers import search_gamma
 
 RNG = np.random.default_rng(20260814)
 
@@ -162,3 +166,75 @@ def test_steps_to_tolerance_raises_in_trap():
         steps_to_tolerance(math.radians(164.0), math.pi, tol=1e-9, max_steps=5000)
     with pytest.raises(ValueError):
         steps_to_tolerance(1.0, 1.0, tol=0.0)
+
+
+def _plain_steps_to_tolerance(gamma, del_lam, tol, max_steps):
+    """steps_to_tolerance without the cycle check; None past max_steps."""
+    gamma_j = gamma
+    for j in range(max_steps + 1):
+        if abs(gamma_j) < tol:
+            return j
+        gamma_j -= dbar_gamma(gamma, gamma_j, del_lam)
+    return None
+
+
+def _reported_cycle(gamma, del_lam, tol):
+    """(period, step) from the ConvergenceError, checked against a replay."""
+    with pytest.raises(ConvergenceError) as info:
+        steps_to_tolerance(gamma, del_lam, tol)
+    found = re.search(r"period (\d+) at step (\d+)", str(info.value))
+    assert found, str(info.value)
+    period, step = int(found[1]), int(found[2])
+    iterates = [gamma]
+    for _ in range(step):
+        iterates.append(iterates[-1] - dbar_gamma(gamma, iterates[-1], del_lam))
+    assert iterates[step] == iterates[step - period]
+    assert all(iterates[step - q] != iterates[step] for q in range(1, period))
+    assert min(abs(g) for g in iterates) >= tol
+    return period, step
+
+
+@pytest.mark.parametrize(
+    "nb, del_lam, period, step",
+    [
+        (1, 0.0, 1, 1),
+        (3, 0.0, 1, 1),
+        (4, 0.0, 1, 1),
+        (6, 0.0, 1, 2),
+        (18, 0.0, 1, 1),
+        (1, math.pi, 2, 4),
+        (3, math.pi, 2, 4),
+        (4, math.pi, 4, 8),
+        (6, math.pi, 2, 18),
+        (18, math.pi, 2, 514),
+    ],
+)
+def test_steps_to_tolerance_reports_cycle(nb, del_lam, period, step):
+    assert _reported_cycle(search_gamma(nb), del_lam, 1e-6) == (period, step)
+
+
+def test_steps_to_tolerance_reports_cycle_below_floor():
+    assert _reported_cycle(1.0, 1.0, 1e-30) == (1, 65)
+    assert _reported_cycle(3.0, 2.9, 1e-30) == (2, 1026)
+
+
+def test_steps_to_tolerance_trap_landings_still_count():
+    gamma_tol = 2.0 * math.asin(math.sqrt(1e-6))
+    for nb, want in ((2, 1), (24, 3215)):
+        gamma = search_gamma(nb)
+        assert steps_to_tolerance(gamma, math.pi, gamma_tol) == want
+        assert _plain_steps_to_tolerance(gamma, math.pi, gamma_tol, want) == want
+
+
+open_angles = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(open_angles, open_angles)
+def test_cycle_check_keeps_step_counts(gamma, del_lam):
+    cap = 5000
+    try:
+        checked = steps_to_tolerance(gamma, del_lam, 1e-9, max_steps=cap)
+    except ConvergenceError:
+        checked = None
+    assert checked == _plain_steps_to_tolerance(gamma, del_lam, 1e-9, cap)

@@ -1,6 +1,8 @@
 """Rank-1 search simulation over 2^nb basis states."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from afga.search_sim import (
     init_uniform,
     run_afga_search,
 )
+from helpers import search_gamma, two_amplitude_success
 
 RNG = np.random.default_rng(20260814)
 
@@ -45,6 +48,14 @@ def test_target_phase_examples():
     np.testing.assert_allclose(flipped.amps, [-(2.0**-0.5), 2.0**-0.5], atol=1e-15)
     same = apply_target_phase(state, 0.0)
     np.testing.assert_allclose(same.amps, state.amps)
+
+
+def test_phase_wrappers_leave_input_untouched():
+    state = _random_state(5, 9)
+    before = state.amps.copy()
+    apply_target_phase(state, 0.7)
+    apply_sprime_phase(state, -1.1)
+    np.testing.assert_array_equal(state.amps, before)
 
 
 def test_phase_ops_preserve_norm():
@@ -165,3 +176,61 @@ def test_search_validation():
         run_afga_search(3, max_steps=-1)
     with pytest.raises(ValueError):
         run_afga_search(3, del_lam=3.5)
+
+
+@pytest.mark.parametrize("del_lam_degs", (45.0, 90.0, 135.0, 179.0))
+def test_search_trace_equals_wrapper_loop_bitwise(del_lam_degs):
+    # near del_lam = pi a run to 1 - 1e-9 takes 10^4 steps and more, so each
+    # comparison stops at 400 steps, converged or not
+    del_lam = math.radians(del_lam_degs)
+    for nb in range(1, 15):
+        for target in sorted({0, 2**nb // 3, 2**nb - 1}):
+            trace = run_afga_search(nb, target, del_lam, max_steps=400, tol=1e-9)
+            state = init_uniform(nb, target)
+            replay = [state.success_probability]
+            angles = iter_angles(state.gamma, del_lam)
+            for _ in range(trace.steps):
+                _, _, alpha_j = next(angles)
+                state = apply_sprime_phase(apply_target_phase(state, del_lam), alpha_j)
+                replay.append(state.success_probability)
+            assert np.array_equal(trace.success, replay), (nb, target)
+
+
+def _oracle_success(nb: int, del_lam: float, tol: float, steps: int | None = None):
+    alphas = (alpha_j for _, _, alpha_j in iter_angles(search_gamma(nb), del_lam))
+    return two_amplitude_success(nb, del_lam, itertools.islice(alphas, steps), tol)
+
+
+def test_search_matches_two_amplitude_oracle():
+    for nb in (1, 2, 5, 9, 12, 16):
+        for del_lam_degs in (45.0, 90.0, 170.0):
+            del_lam = math.radians(del_lam_degs)
+            trace = run_afga_search(nb, 2**nb - 1, del_lam, tol=1e-9)
+            want = _oracle_success(nb, del_lam, 1e-9, trace.steps)
+            assert trace.converged
+            assert len(want) == len(trace.success)
+            np.testing.assert_allclose(trace.success, want, rtol=0.0, atol=1e-12)
+
+
+def test_prediction_matches_two_amplitude_oracle_at_nb_40():
+    # 2^40 amplitudes would take 16 TiB; the oracle needs two
+    nb, del_lam, tol = 40, math.radians(179.0), 1e-6
+    success = _oracle_success(nb, del_lam, tol)
+    gamma_tol = 2.0 * math.asin(math.sqrt(tol))
+    predicted = steps_to_tolerance(search_gamma(nb), del_lam, gamma_tol)
+    assert success[-1] >= 1.0 - tol > success[-2]
+    assert len(success) - 1 == predicted
+
+
+def test_search_holds_one_vector():
+    nb = 16
+    vector_bytes = 16 * 2**nb
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = run_afga_search(nb, del_lam=math.radians(90.0), max_steps=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 20
+    assert peak - start < 1.5 * vector_bytes
