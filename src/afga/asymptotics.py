@@ -5,11 +5,12 @@ steps by a constant decrement and lands in a two-cycle instead of
 converging, and the continuum limit, where the step index becomes a time
 variable and gamma_j relaxes along the flow
 
-    dg/dt = gamma - g - min(mu(g), 2 pi - mu(g)),
+    dg/dt = gamma - g - mu(g),
 
-with mu(g) the arc between the start vector and the point at angle g after
-the target phase.  The tail of the flow decays like e^{-(1 - cos del_lam) t}
-for every start angle.
+with mu(g) in [0, pi] the arc between the start vector and the point at
+angle g after the target phase.  The right-hand side is -dbar_gamma(gamma,
+g, del_lam): the flow takes the recursion's own step as its slope.  The
+tail of the flow decays like e^{-(1 - cos del_lam) t} for every start angle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schedule import AfgaParams, build_schedule
+from .schedule import AfgaParams, build_schedule, dot_rj_sprime
 
 __all__ = [
     "SaturationReport",
@@ -52,14 +53,6 @@ class SaturationReport:
     del_gamma_degs: Fraction
     gamma_jsat_degs: Fraction
     big_gamma_degs: Fraction
-
-    @property
-    def del_gamma(self) -> float:
-        return math.radians(float(self.del_gamma_degs))
-
-    @property
-    def gamma_jsat(self) -> float:
-        return math.radians(float(self.gamma_jsat_degs))
 
     @property
     def big_gamma(self) -> float:
@@ -107,15 +100,12 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
 def mu_of_g(g: float, gamma: float, del_lam: float) -> float:
     """Arc in [0, pi] between the start vector and the post-target-phase point.
 
-    Spherical law of cosines, clamped before the arccos so that roundoff at
-    the g = gamma corner cannot leave the domain.
+    The arccos of schedule.dot_rj_sprime, whose clamp keeps roundoff at the
+    g = gamma corner inside the domain.
     """
     if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS or not 0.0 <= gamma <= math.pi:
         raise ValueError(f"need 0 <= g <= gamma <= pi, got g={g}, gamma={gamma}")
-    c = math.cos(gamma) * math.cos(g) + math.sin(gamma) * math.sin(g) * math.cos(
-        del_lam
-    )
-    return math.acos(max(-1.0, min(1.0, c)))
+    return math.acos(dot_rj_sprime(gamma, g, del_lam))
 
 
 @dataclass(frozen=True)
@@ -134,8 +124,7 @@ class ContinuumTrace:
 
 
 def _rhs(g: float, gamma: float, del_lam: float) -> float:
-    mu = mu_of_g(g, gamma, del_lam)
-    return gamma - g - min(mu, 2.0 * math.pi - mu)
+    return gamma - g - mu_of_g(g, gamma, del_lam)
 
 
 def _rk4_step(g: float, h: float, gamma: float, del_lam: float) -> float:

@@ -64,12 +64,16 @@ def _fraction_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else repr(float(x))
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    params = AfgaParams(
+def _params(args: argparse.Namespace) -> AfgaParams:
+    return AfgaParams(
         _radians_arg("--gamma-degs", args.gamma_degs),
         _radians_arg("--del-lam-degs", args.del_lam_degs),
         args.num_steps,
     )
+
+
+def _cmd_schedule(args: argparse.Namespace) -> int:
+    params = _params(args)
     rows = build_schedule(params)
     if args.format == "csv":
         _write(args.out, schedule_csv(rows))
@@ -79,12 +83,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_qubit(args: argparse.Namespace) -> int:
-    params = AfgaParams(
-        _radians_arg("--gamma-degs", args.gamma_degs),
-        _radians_arg("--del-lam-degs", args.del_lam_degs),
-        args.num_steps,
-    )
-    _write(args.out, err_trace_csv(run_afga_qubit(params)))
+    _write(args.out, err_trace_csv(run_afga_qubit(_params(args))))
     return 0
 
 
@@ -247,16 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,14 +50,19 @@ def _sci(v: float) -> str:
     return f"{v:.4e}"
 
 
-def _row_fields(row: ScheduleRow) -> list[str]:
-    values = [
-        math.degrees(row.gamma_j),
-        math.degrees(row.alpha_j),
-        *row.r_j,
-        *row.s_j,
-    ]
-    return [str(row.j)] + [_sci(v) for v in values]
+def _row_values(row: ScheduleRow) -> list[float]:
+    """Float fields of a schedule row after j: angles in degrees, then r_j and s_j."""
+    return [math.degrees(row.gamma_j), math.degrees(row.alpha_j), *row.r_j, *row.s_j]
+
+
+def _csv(header: str, rows) -> str:
+    """Header line plus one line per row; ints via str, floats at full precision."""
+    lines = [header]
+    lines.extend(
+        ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+        for row in rows
+    )
+    return "\n".join(lines) + "\n"
 
 
 def emit_afga_txt(rows: list[ScheduleRow], params: AfgaParams) -> str:
@@ -68,7 +73,9 @@ def emit_afga_txt(rows: list[ScheduleRow], params: AfgaParams) -> str:
         f"num_steps = {params.num_steps}",
         "\t".join(AFGA_COLUMNS),
     ]
-    lines.extend("\t".join(_row_fields(row)) for row in rows)
+    lines.extend(
+        "\t".join([str(row.j)] + [_sci(v) for v in _row_values(row)]) for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -101,39 +108,25 @@ def parse_afga_txt(text: str) -> AfgaTable:
 
 def schedule_csv(rows: list[ScheduleRow]) -> str:
     """Full-precision CSV of a schedule, angles in degrees."""
-    lines = ["j,gam_j_degs,alp_j_degs,vr_x,vr_y,vr_z,vs_x,vs_y,vs_z"]
-    for row in rows:
-        values = [
-            math.degrees(row.gamma_j),
-            math.degrees(row.alpha_j),
-            *row.r_j,
-            *row.s_j,
-        ]
-        lines.append(",".join([str(row.j)] + [repr(float(v)) for v in values]))
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "j,gam_j_degs,alp_j_degs,vr_x,vr_y,vr_z,vs_x,vs_y,vs_z",
+        ([row.j, *_row_values(row)] for row in rows),
+    )
 
 
 def err_trace_csv(trace: ErrTrace) -> str:
     """CSV of miss probability and z-component per step."""
-    lines = ["j,err,s_fin_z"]
-    lines.extend(
-        f"{j},{float(e)!r},{float(z)!r}"
-        for j, (e, z) in enumerate(zip(trace.err, trace.s_fin_z))
+    return _csv(
+        "j,err,s_fin_z",
+        ((j, e, z) for j, (e, z) in enumerate(zip(trace.err, trace.s_fin_z))),
     )
-    return "\n".join(lines) + "\n"
 
 
 def search_csv(trace: SearchTrace) -> str:
     """CSV of success probability per step."""
-    lines = ["j,success"]
-    lines.extend(f"{j},{float(p)!r}" for j, p in enumerate(trace.success))
-    return "\n".join(lines) + "\n"
+    return _csv("j,success", enumerate(trace.success))
 
 
 def continuum_csv(trace: ContinuumTrace) -> str:
     """CSV of the accepted integration samples."""
-    lines = ["t,g"]
-    lines.extend(
-        f"{float(t)!r},{float(g)!r}" for t, g in zip(trace.t, trace.g)
-    )
-    return "\n".join(lines) + "\n"
+    return _csv("t,g", zip(trace.t, trace.g))

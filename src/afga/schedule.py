@@ -16,7 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .bloch import Y_HAT, Z_HAT, polar_unit_vec, rotate
+# rotate is unused here but stays importable: the benchmark tracer patches it
+from .bloch import polar_unit_vec, rotate  # noqa: F401
 
 __all__ = [
     "MAX_SCHEDULE_STEPS",
@@ -135,18 +136,17 @@ def build_schedule(params: AfgaParams) -> list[ScheduleRow]:
 
     Row j records the Bloch vector s_j reached after j steps together with
     the angles of the step about to be taken, so the final row shows where
-    the run landed.  s_0 lies in the xz-plane at angle gamma from +z and
-    every s_j stays in that plane.
+    the run landed.  The vectors are closed forms of the row's own angle
+    g_j = gamma_j, so no rounding carries over from earlier rows:
+    s_j = (sin g_j, 0, cos g_j) and r_j = (sin g_j cos dl, -sin g_j sin dl,
+    cos g_j) with dl = del_lam.
     """
-    rows: list[ScheduleRow] = []
-    s = polar_unit_vec(params.gamma)
-    angles = iter_angles(params.gamma, params.del_lam)
-    for j in range(params.num_steps + 1):
-        gamma_j, dbar_j, alpha_j = next(angles)
-        r = rotate(s, Z_HAT, -params.del_lam)
-        rows.append(ScheduleRow(j, gamma_j, dbar_j, alpha_j, r, s))
-        s = rotate(s, Y_HAT, -dbar_j)
-    return rows
+    dl = params.del_lam
+    angles = zip(range(params.num_steps + 1), iter_angles(params.gamma, dl))
+    return [
+        ScheduleRow(j, g_j, dbar_j, alpha_j, polar_unit_vec(g_j, -dl), polar_unit_vec(g_j))
+        for j, (g_j, dbar_j, alpha_j) in angles
+    ]
 
 
 def steps_to_tolerance(

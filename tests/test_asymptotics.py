@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afga.asymptotics import (
+    _rhs,
     fit_tail_rate,
     integrate_continuum,
     max_initial_slope,
@@ -15,7 +18,7 @@ from afga.asymptotics import (
     saturation_analysis,
     verify_saturation,
 )
-from afga.schedule import iter_angles
+from afga.schedule import dbar_gamma, iter_angles
 
 RNG = np.random.default_rng(20260814)
 
@@ -84,6 +87,24 @@ def test_mu_examples():
     assert mu_of_g(gamma, gamma, 1e-3) == pytest.approx(
         math.sin(gamma) * 1e-3, rel=1e-4
     )
+    # g = gamma: the arc between s' and its own image after the target phase
+    assert mu_of_g(math.pi / 2, math.pi / 2, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert mu_of_g(math.pi / 2, math.pi / 2, math.pi) == math.pi
+    # the law of cosines rounds to 1 + 2^-52 here; the clamp keeps acos defined
+    assert mu_of_g(1.4000000000000001, 1.4000000000000001, 0.0) == 0.0
+
+
+angles = st.floats(0.0, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, st.floats(0.0, 1.0), angles)
+def test_flow_is_minus_recursion_step(gamma, frac, del_lam):
+    g = frac * gamma
+    assert _rhs(g, gamma, del_lam) == pytest.approx(
+        -dbar_gamma(gamma, g, del_lam), abs=1e-12
+    )
+    assert 0.0 <= mu_of_g(g, gamma, del_lam) <= math.pi
 
 
 def test_mu_domain_validation():

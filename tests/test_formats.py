@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from afga.asymptotics import integrate_continuum
+from afga.asymptotics import ContinuumTrace, integrate_continuum
 from afga.formats import (
     AFGA_COLUMNS,
     continuum_csv,
@@ -15,11 +15,14 @@ from afga.formats import (
     schedule_csv,
     search_csv,
 )
-from afga.qubit_sim import run_afga_qubit
+from afga.qubit_sim import ErrTrace, run_afga_qubit
 from afga.schedule import AfgaParams, ScheduleRow, build_schedule
-from afga.search_sim import run_afga_search
+from afga.search_sim import SearchTrace, run_afga_search
 
 GOLDEN = AfgaParams(math.radians(173.15), math.radians(135.0), 20)
+
+# numpy float64 values whose repr is easy to get wrong: 1/10, 1/3, -0.0
+PIN = np.array([0.1, 1.0 / 3.0, -0.0])
 
 
 def _golden_doc() -> str:
@@ -91,6 +94,15 @@ def test_schedule_csv_full_precision():
     assert int(first[0]) == 0
     assert float(first[1]) == math.degrees(rows[0].gamma_j)
     assert float(first[3]) == rows[0].r_j[0]
+    pinned = [
+        ScheduleRow(0, math.pi, 0.0, -0.0, PIN, PIN[::-1]),
+        ScheduleRow(1, 0.0, 0.0, math.pi / 2, np.array([0.0, -0.0, 1.0]), PIN),
+    ]
+    assert schedule_csv(pinned) == (
+        "j,gam_j_degs,alp_j_degs,vr_x,vr_y,vr_z,vs_x,vs_y,vs_z\n"
+        "0,180.0,-0.0,0.1,0.3333333333333333,-0.0,-0.0,0.3333333333333333,0.1\n"
+        "1,0.0,90.0,0.0,-0.0,1.0,0.1,0.3333333333333333,-0.0\n"
+    )
 
 
 def test_err_trace_csv():
@@ -100,6 +112,13 @@ def test_err_trace_csv():
     assert len(lines) == 7
     last = lines[-1].split(",")
     assert float(last[1]) == trace.err[-1]
+    pinned = ErrTrace(PIN, PIN[::-1])
+    assert err_trace_csv(pinned) == (
+        "j,err,s_fin_z\n"
+        "0,0.1,-0.0\n"
+        "1,0.3333333333333333,0.3333333333333333\n"
+        "2,-0.0,0.1\n"
+    )
 
 
 def test_search_csv():
@@ -108,6 +127,10 @@ def test_search_csv():
     assert lines[0] == "j,success"
     assert len(lines) == len(trace.success) + 1
     assert float(lines[1].split(",")[1]) == pytest.approx(0.125, abs=1e-15)
+    pinned = SearchTrace(PIN, True, 1.0, 1.0)
+    assert search_csv(pinned) == (
+        "j,success\n0,0.1\n1,0.3333333333333333\n2,-0.0\n"
+    )
 
 
 def test_continuum_csv():
@@ -116,3 +139,7 @@ def test_continuum_csv():
     assert lines[0] == "t,g"
     assert len(lines) == len(trace.t) + 1
     assert float(lines[1].split(",")[1]) == 1.0
+    pinned = ContinuumTrace(np.array([0.0, 1.0, 2.5]), PIN, 1.0, 1.0, 0.01)
+    assert continuum_csv(pinned) == (
+        "t,g\n0.0,0.1\n1.0,0.3333333333333333\n2.5,-0.0\n"
+    )

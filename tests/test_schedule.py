@@ -99,6 +99,26 @@ def test_rows_stay_in_xz_plane():
         )
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        AfgaParams(math.radians(100.0), math.radians(60.0), 60),
+        AfgaParams(GOLDEN.gamma, GOLDEN.del_lam, 2000),
+    ],
+    ids=["gamma100-del_lam60", "golden-2000"],
+)
+def test_rows_agree_with_their_angle(params):
+    # no drift from earlier rows: each vector is fixed by its own gamma_j
+    sin_dl = math.sin(params.del_lam)
+    for row in build_schedule(params):
+        if row.gamma_j == 0.0:
+            assert row.s_j[0] == 0.0, row.j
+            continue
+        want = math.sin(row.gamma_j)
+        assert row.s_j[0] == pytest.approx(want, rel=1e-12), row.j
+        assert -row.r_j[1] / sin_dl == pytest.approx(want, rel=1e-12), row.j
+
+
 def test_gamma_j_matches_vector_angle():
     for row in build_schedule(GOLDEN):
         signed_angle = math.atan2(row.s_j[0], row.s_j[2])
