@@ -11,20 +11,11 @@ from .asymptotics import (
     SaturationReport,
     fit_tail_rate,
     integrate_continuum,
-    max_initial_slope,
     mu_of_g,
     saturation_analysis,
     verify_saturation,
 )
-from .qubit_sim import (
-    ErrTrace,
-    check_g_factorization,
-    grover_operator,
-    phase_op,
-    run_afga_qubit,
-    run_grover_qubit,
-    step_operator,
-)
+from .qubit_sim import ErrTrace, run_afga_qubit, run_grover_qubit
 from .schedule import (
     AfgaParams,
     ConvergenceError,
@@ -58,12 +49,8 @@ __all__ = [
     "build_schedule",
     "steps_to_tolerance",
     "ErrTrace",
-    "phase_op",
-    "step_operator",
-    "grover_operator",
     "run_afga_qubit",
     "run_grover_qubit",
-    "check_g_factorization",
     "SearchState",
     "SearchTrace",
     "init_uniform",
@@ -77,6 +64,5 @@ __all__ = [
     "mu_of_g",
     "integrate_continuum",
     "fit_tail_rate",
-    "max_initial_slope",
     "__version__",
 ]

@@ -21,10 +21,8 @@ __all__ = [
     "unit_vec",
     "polar_unit_vec",
     "rotate",
-    "reflect",
     "ket_from_unit_vec",
     "bloch_vec_of",
-    "overlap_sq",
     "paulion",
     "paulion_exp",
     "rotation_su2",
@@ -55,7 +53,8 @@ def unit_vec(v) -> np.ndarray:
 def polar_unit_vec(theta: float, phi: float = 0.0) -> np.ndarray:
     """Unit vector at polar angle theta from +z and azimuth phi from +x."""
     st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+    # + 0.0 turns the -0.0 of a product with a zero factor into +0.0
+    return np.array([st * math.cos(phi) + 0.0, st * math.sin(phi) + 0.0, math.cos(theta)])
 
 
 def rotate(r, axis, xi: float) -> np.ndarray:
@@ -70,13 +69,6 @@ def rotate(r, axis, xi: float) -> np.ndarray:
     along = a * float(a @ r)
     out = along + math.sin(xi) * np.cross(a, r) + math.cos(xi) * (r - along)
     return unit_vec(out)
-
-
-def reflect(r, axis) -> np.ndarray:
-    """Reflect r through the plane whose normal is the given unit axis."""
-    r = np.asarray(r, dtype=float)
-    a = np.asarray(axis, dtype=float)
-    return r - 2.0 * a * float(a @ r)
 
 
 def ket_from_unit_vec(r) -> np.ndarray:
@@ -94,12 +86,6 @@ def bloch_vec_of(psi) -> np.ndarray:
     a0, a1 = np.asarray(psi, dtype=complex)
     cross = np.conj(a0) * a1
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
-
-
-def overlap_sq(r1, r2) -> float:
-    """|<r1|r2>|^2 = (1 + r1 . r2) / 2 for the kets of two unit vectors."""
-    d = float(np.asarray(r1, dtype=float) @ np.asarray(r2, dtype=float))
-    return min(1.0, max(0.0, 0.5 * (1.0 + d)))
 
 
 def paulion(axis) -> np.ndarray:

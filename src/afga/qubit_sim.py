@@ -4,39 +4,27 @@ fixed-step amplitude amplification.
 The target is |0> throughout.  Each adaptive step applies the target phase
 e^{i del_lam |0><0|} first and the start-state phase e^{i alpha_j |s'><s'|}
 second; the miss probability after k steps is ERR_k = 1 - |<0|psi_k>|^2.
+Both phases are rank-1, so a run carries the two amplitudes (a0, a1) and
+never forms a 2x2 operator, the same update search_sim applies to 2^nb
+amplitudes.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .bloch import (
-    ID2,
-    SIGMA_Z,
-    Y_HAT,
-    bloch_vec_of,
-    ket_from_unit_vec,
-    paulion,
-    paulion_exp,
-    polar_unit_vec,
-)
+# bloch_vec_of and paulion are unused here but stay importable: the
+# benchmark tracer patches them
+from .bloch import bloch_vec_of, ket_from_unit_vec, paulion, polar_unit_vec  # noqa: F401
 from .schedule import AfgaParams, iter_angles
 
-__all__ = [
-    "KET_0",
-    "ErrTrace",
-    "phase_op",
-    "step_operator",
-    "grover_operator",
-    "run_afga_qubit",
-    "run_grover_qubit",
-    "check_g_factorization",
-]
-
-KET_0 = np.array([1.0, 0.0], dtype=complex)
+__all__ = ["ErrTrace", "run_afga_qubit", "run_grover_qubit"]
 
 
 @dataclass(frozen=True)
@@ -54,32 +42,23 @@ class ErrTrace:
         return len(self.err)
 
 
-def phase_op(psi, phase: float) -> np.ndarray:
-    """Rank-1 phase e^{i phase |psi><psi|} = I + (e^{i phase} - 1) |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex)
-    return ID2 + (np.exp(1.0j * phase) - 1.0) * np.outer(psi, psi.conj())
-
-
-def step_operator(s_prime, alpha_j: float, del_lam: float) -> np.ndarray:
-    """One adaptive step: start-state phase after target phase."""
-    return phase_op(s_prime, alpha_j) @ phase_op(KET_0, del_lam)
-
-
-def grover_operator(gamma: float) -> np.ndarray:
-    """Fixed-step operator -sigma_{s'} sigma_z for a start state at angle gamma."""
-    if not 0.0 <= gamma <= math.pi:
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
-    return -paulion(polar_unit_vec(gamma)) @ SIGMA_Z
-
-
-def _trace(psi0: np.ndarray, step_matrices) -> ErrTrace:
-    errs = [1.0 - abs(psi0[0]) ** 2]
-    zs = [bloch_vec_of(psi0)[2]]
-    psi = psi0
-    for mat in step_matrices:
-        psi = mat @ psi
-        errs.append(1.0 - abs(psi[0]) ** 2)
-        zs.append(bloch_vec_of(psi)[2])
+def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:
+    """Start at angle gamma; per alpha, apply the target phase del_lam, then
+    the s'-phase alpha: a += (e^{i alpha} - 1) <s'|a> |s'>."""
+    # the start ket lies in the xz-plane, so its amplitudes are real
+    s0, s1 = ket_from_unit_vec(polar_unit_vec(gamma)).real.tolist()
+    target_factor = cmath.exp(1.0j * del_lam)
+    a0, a1 = complex(s0), complex(s1)
+    p0, p1 = s0 * s0, s1 * s1
+    errs, zs = [1.0 - p0], [p0 - p1]
+    for alpha_j in alphas:
+        a0 *= target_factor
+        shift = (cmath.exp(1.0j * alpha_j) - 1.0) * (s0 * a0 + s1 * a1)
+        a0 += shift * s0
+        a1 += shift * s1
+        p0, p1 = abs(a0) ** 2, abs(a1) ** 2
+        errs.append(1.0 - p0)
+        zs.append(p0 - p1)
     return ErrTrace(np.array(errs), np.array(zs))
 
 
@@ -89,39 +68,22 @@ def run_afga_qubit(params: AfgaParams) -> ErrTrace:
     err[k] falls monotonically to 0 for del_lam in (0, pi); at del_lam = pi
     it stalls at the residual angle of the uniform-stepping tail.
     """
-    s_prime = ket_from_unit_vec(polar_unit_vec(params.gamma))
-    target_phase = phase_op(KET_0, params.del_lam)
-    angles = iter_angles(params.gamma, params.del_lam)
-
-    def steps():
-        for _ in range(params.num_steps):
-            _, _, alpha_j = next(angles)
-            yield phase_op(s_prime, alpha_j) @ target_phase
-
-    return _trace(s_prime.copy(), steps())
+    angles = itertools.islice(iter_angles(params.gamma, params.del_lam), params.num_steps)
+    return _run(params.gamma, params.del_lam, (alpha_j for _, _, alpha_j in angles))
 
 
 def run_grover_qubit(gamma: float, num_steps: int) -> ErrTrace:
     """Run num_steps fixed steps; err[k] = sin^2((gamma - 2k(pi - gamma)) / 2).
 
-    Unlike the adaptive schedule this overshoots: past the best k the miss
-    probability climbs again, with period pi / (pi - gamma) in k.
+    The fixed step is both phases at pi, which is -sigma_{s'} sigma_z up to
+    a global sign.  Unlike the adaptive schedule this overshoots: past the
+    best k the miss probability climbs again, with period pi / (pi - gamma)
+    in k.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     if gamma == 0.0:
         raise ValueError("gamma = 0 leaves nothing to amplify")
-    g = grover_operator(gamma)
-    psi0 = ket_from_unit_vec(polar_unit_vec(gamma))
-    return _trace(psi0, (g for _ in range(num_steps)))
-
-
-def check_g_factorization(gamma: float) -> float:
-    """Max entrywise deviation of -sigma_{s'} sigma_z from e^{i(pi - gamma) sigma_y}.
-
-    The fixed-step operator is exactly a y-rotation by 2(pi - gamma) on the
-    Bloch sphere, which is what makes its error trace sinusoidal in k.
-    """
-    direct = grover_operator(gamma)
-    factored = paulion_exp(Y_HAT, math.pi - gamma)
-    return float(np.max(np.abs(direct - factored)))
+    if not 0.0 <= gamma <= math.pi:
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    return _run(gamma, math.pi, itertools.repeat(math.pi, num_steps))

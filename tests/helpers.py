@@ -9,6 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
+from afga.bloch import ID2, SIGMA_Z, Y_HAT, paulion, paulion_exp, polar_unit_vec
+
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_AFGA = DATA_DIR / "golden_afga.txt"
 
@@ -75,3 +77,63 @@ def two_amplitude_success(
         b += shift
         success.append(abs(a) ** 2)
     return np.array(success)
+
+
+# Bloch-vector helpers and the 2x2 operator forms of the qubit step: the
+# matrix reference that the two-amplitude runs of afga.qubit_sim are
+# checked against.
+
+KET_0 = np.array([1.0, 0.0], dtype=complex)
+
+
+def reflect(r, axis) -> np.ndarray:
+    """Reflect r through the plane whose normal is the given unit axis."""
+    r = np.asarray(r, dtype=float)
+    a = np.asarray(axis, dtype=float)
+    return r - 2.0 * a * float(a @ r)
+
+
+def overlap_sq(r1, r2) -> float:
+    """|<r1|r2>|^2 = (1 + r1 . r2) / 2 for the kets of two unit vectors."""
+    d = float(np.asarray(r1, dtype=float) @ np.asarray(r2, dtype=float))
+    return min(1.0, max(0.0, 0.5 * (1.0 + d)))
+
+
+def phase_op(psi, phase: float) -> np.ndarray:
+    """Rank-1 phase e^{i phase |psi><psi|} = I + (e^{i phase} - 1) |psi><psi|."""
+    psi = np.asarray(psi, dtype=complex)
+    return ID2 + (np.exp(1.0j * phase) - 1.0) * np.outer(psi, psi.conj())
+
+
+def step_operator(s_prime, alpha_j: float, del_lam: float) -> np.ndarray:
+    """One adaptive step: start-state phase after target phase."""
+    return phase_op(s_prime, alpha_j) @ phase_op(KET_0, del_lam)
+
+
+def grover_operator(gamma: float) -> np.ndarray:
+    """Fixed-step operator -sigma_{s'} sigma_z for a start state at angle gamma."""
+    if not 0.0 <= gamma <= math.pi:
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    return -paulion(polar_unit_vec(gamma)) @ SIGMA_Z
+
+
+def check_g_factorization(gamma: float) -> float:
+    """Max entrywise deviation of -sigma_{s'} sigma_z from e^{i(pi - gamma) sigma_y}.
+
+    The fixed-step operator is exactly a y-rotation by 2(pi - gamma) on the
+    Bloch sphere, which is what makes its error trace sinusoidal in k.
+    """
+    direct = grover_operator(gamma)
+    factored = paulion_exp(Y_HAT, math.pi - gamma)
+    return float(np.max(np.abs(direct - factored)))
+
+
+def max_initial_slope(gamma: float) -> float:
+    """Largest initial decay speed over all del_lam: min(2 gamma, 2 pi - 2 gamma).
+
+    The maximum is attained at del_lam = pi, where mu(gamma) is the smaller
+    of 2 gamma and its reflex complement.
+    """
+    if not 0.0 <= gamma <= math.pi:
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    return min(2.0 * gamma, 2.0 * math.pi - 2.0 * gamma)

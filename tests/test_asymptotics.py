@@ -9,16 +9,17 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afga.asymptotics
 from afga.asymptotics import (
     _rhs,
     fit_tail_rate,
     integrate_continuum,
-    max_initial_slope,
     mu_of_g,
     saturation_analysis,
     verify_saturation,
 )
 from afga.schedule import dbar_gamma, iter_angles
+from helpers import max_initial_slope
 
 RNG = np.random.default_rng(20260814)
 
@@ -112,6 +113,74 @@ def test_mu_domain_validation():
         mu_of_g(1.1, 1.0, 0.5)
     with pytest.raises(ValueError):
         mu_of_g(-0.1, 1.0, 0.5)
+
+
+def _plain_step_doubling(gamma, del_lam, t_max, step_size):
+    """The step-doubling RK4 loop with every RK4 step computing its own slopes.
+
+    Returns the accepted samples and the number of trial steps, full plus
+    two halves each.
+    """
+
+    def rhs(g):
+        return gamma - g - mu_of_g(g, gamma, del_lam)
+
+    def rk4(g, h):
+        k1 = rhs(g)
+        k2 = rhs(g + 0.5 * h * k1)
+        k3 = rhs(g + 0.5 * h * k2)
+        k4 = rhs(g + h * k3)
+        return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    ts, gs, trials = [0.0], [gamma], 0
+    t, g = 0.0, gamma
+    while t < t_max and g > 0.0:
+        h = min(step_size, t_max - t)
+        while True:
+            trials += 1
+            full = rk4(g, h)
+            half = rk4(rk4(g, 0.5 * h), 0.5 * h)
+            if abs(half - full) <= 1e-8:
+                break
+            h *= 0.5
+        t += h
+        g = max(half, 0.0)
+        ts.append(t)
+        gs.append(g)
+    return np.array(ts), np.array(gs), trials
+
+
+RK4_CASES = [
+    (math.pi / 2, math.pi / 2, 120.0, 0.01),
+    (math.radians(169.15), math.radians(135.0), 40.0, 0.01),
+    (math.pi, math.pi, 10.0, 0.01),
+    (math.radians(120.0), math.radians(60.0), 30.0, 0.8),
+]
+
+
+@pytest.mark.parametrize("gamma, del_lam, t_max, step_size", RK4_CASES)
+def test_integrate_equals_plain_step_doubling(gamma, del_lam, t_max, step_size):
+    trace = integrate_continuum(gamma, del_lam, t_max, step_size)
+    ts, gs, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    np.testing.assert_array_equal(trace.t, ts)
+    np.testing.assert_array_equal(trace.g, gs)
+
+
+@pytest.mark.parametrize("gamma, del_lam, t_max, step_size", RK4_CASES)
+def test_integrate_shares_the_start_slope(monkeypatch, gamma, del_lam, t_max, step_size):
+    # one slope check per accepted step; 10 evaluations per trial, since
+    # the full step and the first half-step reuse the start slope
+    calls = 0
+
+    def counting_mu(*args):
+        nonlocal calls
+        calls += 1
+        return mu_of_g(*args)
+
+    _, _, trials = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    monkeypatch.setattr(afga.asymptotics, "mu_of_g", counting_mu)
+    accepted = len(integrate_continuum(gamma, del_lam, t_max, step_size).t) - 1
+    assert calls == accepted + 10 * trials
 
 
 def test_integrate_basic_shape():

@@ -18,16 +18,14 @@ from afga.bloch import (
     Z_HAT,
     bloch_vec_of,
     ket_from_unit_vec,
-    overlap_sq,
     paulion,
     paulion_exp,
     polar_unit_vec,
-    reflect,
     rotate,
     rotation_su2,
     unit_vec,
 )
-from helpers import random_unit_vectors
+from helpers import overlap_sq, random_unit_vectors, reflect
 
 RNG = np.random.default_rng(20260814)
 
@@ -51,6 +49,12 @@ def test_polar_unit_vec_examples():
     np.testing.assert_allclose(
         polar_unit_vec(math.pi / 2, math.pi / 2), Y_HAT, atol=1e-15
     )
+
+
+def test_polar_unit_vec_zero_is_positive():
+    for theta, phi in ((-0.3, 0.0), (0.0, -1.0), (0.0, math.pi), (-0.0, 0.5)):
+        for c in polar_unit_vec(theta, phi)[:2]:
+            assert c != 0.0 or math.copysign(1.0, c) == 1.0, (theta, phi)
 
 
 def test_paulion_axes():

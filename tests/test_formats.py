@@ -105,6 +105,14 @@ def test_schedule_csv_full_precision():
     )
 
 
+def test_schedule_csv_prints_no_negative_zero():
+    # vs_y is zero by construction on every row, vr_y where gamma_j == 0
+    for params in (GOLDEN, AfgaParams(math.radians(100.0), math.radians(60.0), 60)):
+        for line in schedule_csv(build_schedule(params)).splitlines()[1:]:
+            fields = line.split(",")
+            assert "-0.0" not in (fields[4], fields[7]), line
+
+
 def test_err_trace_csv():
     trace = run_afga_qubit(AfgaParams(1.0, 1.0, 5))
     lines = err_trace_csv(trace).splitlines()

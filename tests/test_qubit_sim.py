@@ -1,22 +1,22 @@
 """Statevector runs: adaptive schedule vs fixed-step amplification."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from afga.bloch import ID2, ket_from_unit_vec, paulion_exp, polar_unit_vec
-from afga.qubit_sim import (
+from afga.bloch import ID2, bloch_vec_of, ket_from_unit_vec, paulion_exp, polar_unit_vec
+from afga.qubit_sim import run_afga_qubit, run_grover_qubit
+from afga.schedule import AfgaParams, build_schedule, iter_angles
+from helpers import (
     KET_0,
     check_g_factorization,
     grover_operator,
     phase_op,
-    run_afga_qubit,
-    run_grover_qubit,
+    random_unit_vectors,
     step_operator,
 )
-from afga.schedule import AfgaParams, build_schedule
-from helpers import random_unit_vectors
 
 RNG = np.random.default_rng(20260814)
 
@@ -151,3 +151,46 @@ def test_grover_validation():
         run_grover_qubit(1.0, -1)
     with pytest.raises(ValueError):
         grover_operator(-0.5)
+
+
+def test_grover_gamma_range():
+    with pytest.raises(ValueError):
+        run_grover_qubit(-0.5, 5)
+    with pytest.raises(ValueError):
+        run_grover_qubit(math.pi + 0.5, 5)
+
+
+def _matrix_trace(gamma, matrices):
+    """err and z per step of the start ket multiplied by 2x2 operators."""
+    psi = ket_from_unit_vec(polar_unit_vec(gamma))
+    errs, zs = [], []
+    for mat in itertools.chain([ID2], matrices):
+        psi = mat @ psi
+        errs.append(1.0 - abs(psi[0]) ** 2)
+        zs.append(bloch_vec_of(psi)[2])
+    return np.array(errs), np.array(zs)
+
+
+def _angle_pairs():
+    # own generator: drawing from RNG at collection would shift the other tests' draws
+    rng = np.random.default_rng(20261018)
+    pairs = [tuple(rng.uniform(0.0, math.pi, size=2)) for _ in range(6)]
+    return pairs + [(gamma, rng.uniform(0.1, math.pi)) for gamma in (0.0, math.pi)]
+
+
+@pytest.mark.parametrize("gamma, del_lam", _angle_pairs())
+def test_runs_match_operator_product(gamma, del_lam):
+    steps = 200
+    s_prime = ket_from_unit_vec(polar_unit_vec(gamma))
+    angles = itertools.islice(iter_angles(gamma, del_lam), steps)
+    err, z = _matrix_trace(
+        gamma, (step_operator(s_prime, alpha_j, del_lam) for _, _, alpha_j in angles)
+    )
+    trace = run_afga_qubit(AfgaParams(gamma, del_lam, steps))
+    np.testing.assert_allclose(trace.err, err, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(trace.s_fin_z, z, rtol=0.0, atol=1e-12)
+    if gamma > 0.0:
+        err, z = _matrix_trace(gamma, itertools.repeat(grover_operator(gamma), steps))
+        trace = run_grover_qubit(gamma, steps)
+        np.testing.assert_allclose(trace.err, err, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(trace.s_fin_z, z, rtol=0.0, atol=1e-12)
