@@ -81,6 +81,8 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     radians; also checks that the tail alternates in sign whenever
     big_gamma is away from zero.
     """
+    if n_tail < 1:
+        raise ValueError(f"n_tail must be >= 1, got {n_tail}")
     report = saturation_analysis(gamma_degs)
     gamma = math.radians(float(Fraction(gamma_degs)))
     num_steps = 10 * max(report.j_sat, 1) + n_tail
@@ -154,8 +156,10 @@ def integrate_continuum(
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
     if not 0.0 <= del_lam <= math.pi:
         raise ValueError(f"del_lam must lie in [0, pi], got {del_lam}")
-    if t_max <= 0.0 or step_size <= 0.0:
-        raise ValueError("t_max and step_size must be > 0")
+    if not (0.0 < t_max < math.inf and 0.0 < step_size < math.inf):
+        raise ValueError(
+            f"t_max and step_size must be finite and > 0, got {t_max} and {step_size}"
+        )
 
     ts = [0.0]
     gs = [gamma]

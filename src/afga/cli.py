@@ -64,9 +64,18 @@ def _fraction_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else repr(float(x))
 
 
+def _gamma(args: argparse.Namespace) -> float:
+    if args.gamma_degs == 180.0:
+        raise UsageError(
+            "--gamma-degs 180: the start state is antipodal to the target, "
+            "where no step moves it; use [0, 180)"
+        )
+    return _radians_arg("--gamma-degs", args.gamma_degs)
+
+
 def _params(args: argparse.Namespace) -> AfgaParams:
     return AfgaParams(
-        _radians_arg("--gamma-degs", args.gamma_degs),
+        _gamma(args),
         _radians_arg("--del-lam-degs", args.del_lam_degs),
         args.num_steps,
     )
@@ -88,8 +97,7 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
 
 
 def _cmd_grover(args: argparse.Namespace) -> int:
-    gamma = _radians_arg("--gamma-degs", args.gamma_degs)
-    _write(args.out, err_trace_csv(run_grover_qubit(gamma, args.num_steps)))
+    _write(args.out, err_trace_csv(run_grover_qubit(_gamma(args), args.num_steps)))
     return 0
 
 
@@ -118,19 +126,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_saturation(args: argparse.Namespace) -> int:
     report = saturation_analysis(args.gamma_degs)
+    dev = verify_saturation(args.gamma_degs, args.n_tail) if args.check_tail else None
     print(f"j_sat = {report.j_sat}")
     print(f"del_gamma(degs) = {_fraction_str(report.del_gamma_degs)}")
     print(f"gamma_jsat(degs) = {_fraction_str(report.gamma_jsat_degs)}")
     print(f"big_gamma(degs) = {_fraction_str(report.big_gamma_degs)}")
-    if args.check_tail:
-        dev = verify_saturation(args.gamma_degs, n_tail=args.n_tail)
+    if dev is not None:
         print(f"tail_dev(rads) = {dev:.4e}")
     return 0
 
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     trace = integrate_continuum(
-        _radians_arg("--gamma-degs", args.gamma_degs),
+        _gamma(args),
         _radians_arg("--del-lam-degs", args.del_lam_degs),
         args.t_max,
         step_size=args.step_size,
@@ -149,7 +157,7 @@ def _add_gamma(p: argparse.ArgumentParser) -> None:
         "--gamma-degs",
         type=float,
         required=True,
-        help="start angle from the target axis, degrees in [0, 180]",
+        help="start angle from the target axis, degrees in [0, 180)",
     )
 
 
@@ -220,14 +228,14 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="also run the recursion and print the tail deviation",
     )
-    p.add_argument("--n-tail", type=int, default=10)
+    p.add_argument("--n-tail", type=int, default=10, help="tail steps checked, >= 1")
     p.set_defaults(func=_cmd_saturation)
 
     p = sub.add_parser("continuum", help="integrate the continuum decay flow")
     _add_gamma(p)
     _add_del_lam(p)
-    p.add_argument("--t-max", type=float, default=60.0)
-    p.add_argument("--step-size", type=float, default=0.01)
+    p.add_argument("--t-max", type=float, default=60.0, help="finite, > 0")
+    p.add_argument("--step-size", type=float, default=0.01, help="finite, > 0")
     p.add_argument(
         "--fit-rate",
         action="store_true",

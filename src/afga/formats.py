@@ -94,6 +94,9 @@ def parse_afga_txt(text: str) -> AfgaTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 4:
         raise ValueError("truncated table: need 3 header lines and a label line")
+    for ln in lines[:3]:
+        if "=" not in ln:
+            raise ValueError(f"header line without '=': {ln!r}")
     gamma_degs = float(lines[0].split("=", 1)[1])
     del_lam_degs = float(lines[1].split("=", 1)[1])
     num_steps = int(lines[2].split("=", 1)[1])

@@ -34,7 +34,7 @@ __all__ = [
 
 MAX_SCHEDULE_STEPS = 10**6
 
-# when both atan2 arguments vanish the step angle is a free gauge; use 0
+# sin^2 of the arc from r_j to the start axis below which any phase works
 _ALPHA_DEGENERACY_EPS = 1e-24
 
 
@@ -99,24 +99,20 @@ def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
     return -gamma + gamma_j + math.atan2(math.sqrt(1.0 - d * d), d)
 
 
-def alpha(gamma: float, gamma_j: float, dbar_gamma_j: float, del_lam: float) -> float:
-    """Start-axis phase that realizes the decrement dbar_gamma_j at step j.
+def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
+    """Start-axis phase of step j: the azimuth of r_j about the start vector.
 
-    Derived by expanding sin and cos of the rotation angle that carries r_j
-    onto the +y-rotated image of s_j; returned in (-pi, pi] via atan2, or 0
-    when the defining pair of components is degenerate (r_j on the start
-    axis, where any phase works).
+    In a frame whose pole is the start vector, r_j has components
+    (c, s, cos mu_j), with c toward the target and s along -y.  So alpha_j =
+    atan2(s, c) is the angle at the start vertex of the spherical triangle
+    (target, start, r_j), by the four-part formula.  Returned in (-pi, pi],
+    or 0 when s^2 + c^2 = sin^2 mu_j puts r_j within 1e-12 rad of the start
+    axis, where any phase works.
     """
-    d = dot_rj_sprime(gamma, gamma_j, del_lam)
-    cg_j = math.cos(gamma_j)
-    sg_j = math.sin(gamma_j)
-    cdl = math.cos(del_lam)
-    s = math.sin(gamma - gamma_j + dbar_gamma_j) * sg_j * math.sin(del_lam)
-    c = math.sin(dbar_gamma_j) * (
-        cg_j * sg_j * (1.0 - cdl) + math.sin(gamma - gamma_j) * d
-    ) + math.cos(dbar_gamma_j) * (
-        cg_j**2 + sg_j**2 * cdl - math.cos(gamma - gamma_j) * d
-    )
+    s = math.sin(del_lam) * math.sin(gamma_j)
+    c = math.sin(gamma) * math.cos(gamma_j) - math.cos(gamma) * math.sin(
+        gamma_j
+    ) * math.cos(del_lam)
     if s * s + c * c < _ALPHA_DEGENERACY_EPS:
         return 0.0
     return math.atan2(s, c)
@@ -127,7 +123,7 @@ def iter_angles(gamma: float, del_lam: float) -> Iterator[tuple[float, float, fl
     gamma_j = gamma
     while True:
         dbar_j = dbar_gamma(gamma, gamma_j, del_lam)
-        yield gamma_j, dbar_j, alpha(gamma, gamma_j, dbar_j, del_lam)
+        yield gamma_j, dbar_j, alpha(gamma, gamma_j, del_lam)
         gamma_j -= dbar_j
 
 

@@ -9,7 +9,16 @@ from typing import Iterable
 
 import numpy as np
 
-from afga.bloch import ID2, SIGMA_Z, Y_HAT, paulion, paulion_exp, polar_unit_vec
+from afga.bloch import (
+    ID2,
+    SIGMA_Z,
+    Y_HAT,
+    Z_HAT,
+    paulion,
+    paulion_exp,
+    polar_unit_vec,
+    rotate,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_AFGA = DATA_DIR / "golden_afga.txt"
@@ -51,6 +60,23 @@ def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
 def search_gamma(nb: int) -> float:
     """Angle between the uniform state over 2^nb basis states and one of them."""
     return 2.0 * math.acos(2.0 ** (-0.5 * nb))
+
+
+def alpha_from_vectors(gamma: float, gamma_j: float, del_lam: float) -> float:
+    """Signed angle about s' from the target axis to r_j, both projected
+    onto the plane normal to s'.
+
+    The vector reference for schedule.alpha.  r_j is s_j turned by -del_lam
+    about z.  Each vector x is projected as s' x x, which is its projection
+    turned by 90 degrees about s': the signed angle is the same, and the
+    cross product keeps full relative precision where x - (x . s') s' would
+    cancel, as when r_j lies near s'.
+    """
+    s_prime = polar_unit_vec(gamma)
+    r_j = rotate(polar_unit_vec(gamma_j), Z_HAT, -del_lam)
+    u = np.cross(s_prime, Z_HAT)
+    v = np.cross(s_prime, r_j)
+    return math.atan2(float(s_prime @ np.cross(u, v)), float(u @ v))
 
 
 def two_amplitude_success(

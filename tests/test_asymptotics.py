@@ -67,6 +67,13 @@ def test_verify_saturation_examples():
         assert verify_saturation(gamma) < 1e-9
 
 
+@pytest.mark.parametrize("n_tail", [0, -3])
+def test_verify_saturation_needs_a_tail(n_tail):
+    # rows[-0:] would be the whole run, and its check a false alarm
+    with pytest.raises(ValueError, match="n_tail"):
+        verify_saturation(164, n_tail=n_tail)
+
+
 def test_verify_saturation_random():
     for gamma in RNG.uniform(90.5, 179.5, size=20):
         assert verify_saturation(float(gamma)) < 1e-6
@@ -287,6 +294,16 @@ def test_integrator_validation():
         integrate_continuum(1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         integrate_continuum(1.0, 1.0, 10.0, step_size=0.0)
+
+
+@pytest.mark.parametrize(
+    "t_max, step_size",
+    [(math.inf, 0.01), (math.nan, 0.01), (10.0, math.nan), (10.0, math.inf)],
+)
+def test_integrator_rejects_non_finite_times(t_max, step_size):
+    # t_max = inf never returns, since the flow stalls near g = 1e-16
+    with pytest.raises(ValueError, match="finite"):
+        integrate_continuum(1.0, 1.0, t_max, step_size=step_size)
 
 
 def test_fit_rate_window_needs_samples():

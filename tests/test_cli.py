@@ -168,6 +168,52 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         assert capsys.readouterr().err != ""
 
 
+def test_schedule_near_antipodal_start(capsys):
+    # at gamma -> 180 the first phase tends to 90 + del_lam / 2 degrees
+    argv = ["schedule", "--gamma-degs", "179.9997", "--del-lam-degs", "10"]
+    assert main(argv + ["--num-steps", "2"]) == 0
+    row_0 = capsys.readouterr().out.splitlines()[4].split("\t")
+    assert row_0[0] == "0"
+    assert row_0[2] == "9.5000e+01"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--del-lam-degs", "90"],
+        ["qubit", "--del-lam-degs", "90"],
+        ["grover"],
+        ["continuum", "--del-lam-degs", "90"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_antipodal_start_exits_1(capsys, argv):
+    assert main(argv + ["--gamma-degs", "180"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "antipodal" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--t-max", "inf"), ("--t-max", "nan"), ("--step-size", "nan")]
+)
+def test_continuum_non_finite_time_exits_1(capsys, flag, value):
+    argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "90", flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("n_tail", ["0", "-3"])
+def test_saturation_n_tail_below_1_exits_1(capsys, n_tail):
+    argv = ["saturation", "--gamma-degs", "164", "--check-tail", "--n-tail", n_tail]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_tail" in captured.err
+
+
 def test_convergence_errors_exit_2(capsys):
     # default max_steps derivation diverges in the del_lam = pi trap
     rc = main(["search", "--nb", "4", "--del-lam-degs", "180"])

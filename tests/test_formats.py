@@ -85,6 +85,13 @@ def test_parse_rejects_truncated():
         parse_afga_txt("\n".join(doc.splitlines()[:10]))
 
 
+def test_parse_rejects_header_without_equals():
+    lines = _golden_doc().splitlines()
+    lines[1] = "del_lam(degs) 1.3500e+02"
+    with pytest.raises(ValueError, match=r"del_lam\(degs\) 1\.3500e\+02"):
+        parse_afga_txt("\n".join(lines))
+
+
 def test_schedule_csv_full_precision():
     rows = build_schedule(GOLDEN)
     lines = schedule_csv(rows).splitlines()

@@ -19,7 +19,7 @@ from afga.schedule import (
     iter_angles,
     steps_to_tolerance,
 )
-from helpers import search_gamma
+from helpers import alpha_from_vectors, search_gamma
 
 RNG = np.random.default_rng(20260814)
 
@@ -65,15 +65,40 @@ def test_first_decrement_matches_printed_table():
 
 
 def test_alpha_first_step_matches_printed_table():
-    d0 = dbar_gamma(GOLDEN.gamma, GOLDEN.gamma, GOLDEN.del_lam)
-    a0 = alpha(GOLDEN.gamma, GOLDEN.gamma, d0, GOLDEN.del_lam)
+    a0 = alpha(GOLDEN.gamma, GOLDEN.gamma, GOLDEN.del_lam)
     assert math.degrees(a0) == pytest.approx(157.35, abs=0.01)
 
 
 def test_alpha_degenerate_returns_zero():
-    assert alpha(0.0, 0.0, 0.0, 1.0) == 0.0
+    assert alpha(0.0, 0.0, 1.0) == 0.0
     # gamma_j = 0 puts r_j on the target axis where any phase works
-    assert alpha(2.0, 0.0, dbar_gamma(2.0, 0.0, 1.0), 1.0) == 0.0
+    assert alpha(2.0, 0.0, 1.0) == 0.0
+    # r_j = s' up to roundoff, which alone would give -90 degrees
+    assert alpha(math.radians(30), -math.radians(30), math.pi) == 0.0
+
+
+def _alpha_gap(gamma, gamma_j, del_lam, alpha_j):
+    """|alpha_j - reference| in radians, taken mod 2 pi."""
+    ref = alpha_from_vectors(gamma, gamma_j, del_lam)
+    return abs(math.remainder(alpha_j - ref, 2.0 * math.pi))
+
+
+interior = st.floats(0.01, math.pi - 0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interior, interior, st.floats(-1.0, 1.0))
+def test_alpha_matches_vectors(gamma, del_lam, frac):
+    gamma_j = frac * gamma
+    assert _alpha_gap(gamma, gamma_j, del_lam, alpha(gamma, gamma_j, del_lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("del_lam", [0.3, math.pi / 2, 2.9])
+def test_alpha_near_antipodal_start(del_lam):
+    # sin(gamma) = 1.7e-7: r_j lies within 3.5e-7 rad of s' on the first rows
+    gamma = math.radians(180.0 - 1e-5)
+    for row in build_schedule(AfgaParams(gamma, del_lam, 30)):
+        assert _alpha_gap(gamma, row.gamma_j, del_lam, row.alpha_j) <= 1e-12, row.j
 
 
 def test_recursion_consistency():
