@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import acos
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def mu_of_g(g: float, gamma: float, del_lam: float) -> float:
     """
     if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS or not 0.0 <= gamma <= math.pi:
         raise ValueError(f"need 0 <= g <= gamma <= pi, got g={g}, gamma={gamma}")
-    return math.acos(dot_rj_sprime(gamma, g, del_lam))
+    return acos(dot_rj_sprime(gamma, g, del_lam))
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,6 @@ class ContinuumTrace:
 
 def _rhs(g: float, gamma: float, del_lam: float) -> float:
     return gamma - g - mu_of_g(g, gamma, del_lam)
-
-
-def _rk4_step(g: float, k1: float, h: float, gamma: float, del_lam: float) -> float:
-    """One RK4 step from g, given its slope k1 = _rhs(g)."""
-    k2 = _rhs(g + 0.5 * h * k1, gamma, del_lam)
-    k3 = _rhs(g + 0.5 * h * k2, gamma, del_lam)
-    k4 = _rhs(g + h * k3, gamma, del_lam)
-    return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_continuum(
@@ -161,8 +154,14 @@ def integrate_continuum(
             f"t_max and step_size must be finite and > 0, got {t_max} and {step_size}"
         )
 
-    ts = [0.0]
-    gs = [gamma]
+    def rk4_step(g: float, k1: float, h: float) -> float:
+        """One RK4 step from g, given its slope k1 = _rhs(g)."""
+        k2 = _rhs(g + 0.5 * h * k1, gamma, del_lam)
+        k3 = _rhs(g + 0.5 * h * k2, gamma, del_lam)
+        k4 = _rhs(g + h * k3, gamma, del_lam)
+        return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    ts, gs = [0.0], [gamma]
     t, g = 0.0, gamma
     while t < t_max and g > 0.0:
         k1 = _rhs(g, gamma, del_lam)
@@ -170,9 +169,9 @@ def integrate_continuum(
             raise ArithmeticError(f"positive slope at g = {g}; flow must decay")
         h = min(step_size, t_max - t)
         for _ in range(_MAX_HALVINGS):
-            full = _rk4_step(g, k1, h, gamma, del_lam)
-            mid = _rk4_step(g, k1, 0.5 * h, gamma, del_lam)
-            half = _rk4_step(mid, _rhs(mid, gamma, del_lam), 0.5 * h, gamma, del_lam)
+            full = rk4_step(g, k1, h)
+            mid = rk4_step(g, k1, 0.5 * h)
+            half = rk4_step(mid, _rhs(mid, gamma, del_lam), 0.5 * h)
             if abs(half - full) <= _LOCAL_ERR_TOL:
                 break
             h *= 0.5

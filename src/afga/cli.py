@@ -28,7 +28,7 @@ from .formats import (
     search_csv,
 )
 from .qubit_sim import run_afga_qubit, run_grover_qubit
-from .schedule import AfgaParams, ConvergenceError, build_schedule
+from .schedule import AfgaParams, ConvergenceError, build_schedule, dbar_gamma
 from .search_sim import run_afga_search
 
 __all__ = ["main", "UsageError"]
@@ -42,12 +42,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         raise UsageError(message)
-
-
-def _radians_arg(name: str, degs: float, lo: float = 0.0, hi: float = 180.0) -> float:
-    if not lo <= degs <= hi:
-        raise UsageError(f"{name} must lie in [{lo:g}, {hi:g}] degrees, got {degs:g}")
-    return math.radians(degs)
 
 
 def _write(out: str | None, text: str) -> None:
@@ -65,20 +59,30 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def _gamma(args: argparse.Namespace) -> float:
-    if args.gamma_degs == 180.0:
+    if not 0.0 <= args.gamma_degs < 180.0:
         raise UsageError(
-            "--gamma-degs 180: the start state is antipodal to the target, "
-            "where no step moves it; use [0, 180)"
+            f"--gamma-degs must lie in [0, 180) degrees, got {args.gamma_degs:g}; at 180 "
+            "the start state is antipodal to the target, where no step moves it"
         )
-    return _radians_arg("--gamma-degs", args.gamma_degs)
+    return math.radians(args.gamma_degs)
+
+
+def _del_lam(args: argparse.Namespace) -> float:
+    degs = args.del_lam_degs
+    if not 0.0 <= degs <= 180.0:
+        raise UsageError(f"--del-lam-degs must lie in [0, 180] degrees, got {degs:g}")
+    return math.radians(degs)
 
 
 def _params(args: argparse.Namespace) -> AfgaParams:
-    return AfgaParams(
-        _gamma(args),
-        _radians_arg("--del-lam-degs", args.del_lam_degs),
-        args.num_steps,
-    )
+    p = AfgaParams(_gamma(args), _del_lam(args), args.num_steps)
+    stuck = dbar_gamma(p.gamma, p.gamma, p.del_lam) == 0.0
+    if stuck and 0.0 < p.gamma and 0.0 < p.del_lam < math.pi:
+        raise UsageError(
+            f"--gamma-degs {args.gamma_degs!r}: the first step rounds to 0 and the start "
+            "never moves; the law of cosines rounds to 1 within ~1e-6 degrees of 0 or 180"
+        )
+    return p
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -102,11 +106,10 @@ def _cmd_grover(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    del_lam = _radians_arg("--del-lam-degs", args.del_lam_degs)
     trace = run_afga_search(
         args.nb,
         target_index=args.target_index,
-        del_lam=del_lam,
+        del_lam=_del_lam(args),
         max_steps=args.max_steps,
         tol=args.tol,
     )
@@ -139,7 +142,7 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 def _cmd_continuum(args: argparse.Namespace) -> int:
     trace = integrate_continuum(
         _gamma(args),
-        _radians_arg("--del-lam-degs", args.del_lam_degs),
+        _del_lam(args),
         args.t_max,
         step_size=args.step_size,
     )

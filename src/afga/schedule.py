@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, sin, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -80,12 +81,11 @@ def dot_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
     """Cosine of the arc between r_j and the start vector, clamped to [-1, 1].
 
     Spherical law of cosines for the triangle with legs gamma and gamma_j
-    meeting at the target axis with dihedral angle del_lam.
+    meeting at the target axis with dihedral angle del_lam.  The clamp is
+    two comparisons, so a NaN argument comes back as NaN.
     """
-    d = math.cos(gamma) * math.cos(gamma_j) + math.sin(gamma) * math.sin(
-        gamma_j
-    ) * math.cos(del_lam)
-    return max(-1.0, min(1.0, d))
+    d = cos(gamma) * cos(gamma_j) + sin(gamma) * sin(gamma_j) * cos(del_lam)
+    return -1.0 if d < -1.0 else 1.0 if d > 1.0 else d
 
 
 def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
@@ -96,7 +96,7 @@ def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
     step never increases |gamma_j| above its previous value.
     """
     d = dot_rj_sprime(gamma, gamma_j, del_lam)
-    return -gamma + gamma_j + math.atan2(math.sqrt(1.0 - d * d), d)
+    return -gamma + gamma_j + atan2(sqrt(1.0 - d * d), d)
 
 
 def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
@@ -109,13 +109,11 @@ def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
     or 0 when s^2 + c^2 = sin^2 mu_j puts r_j within 1e-12 rad of the start
     axis, where any phase works.
     """
-    s = math.sin(del_lam) * math.sin(gamma_j)
-    c = math.sin(gamma) * math.cos(gamma_j) - math.cos(gamma) * math.sin(
-        gamma_j
-    ) * math.cos(del_lam)
+    s = sin(del_lam) * sin(gamma_j)
+    c = sin(gamma) * cos(gamma_j) - cos(gamma) * sin(gamma_j) * cos(del_lam)
     if s * s + c * c < _ALPHA_DEGENERACY_EPS:
         return 0.0
-    return math.atan2(s, c)
+    return atan2(s, c)
 
 
 def iter_angles(gamma: float, del_lam: float) -> Iterator[tuple[float, float, float]]:

@@ -62,6 +62,23 @@ def search_gamma(nb: int) -> float:
     return 2.0 * math.acos(2.0 ** (-0.5 * nb))
 
 
+def clamp_minmax(d: float) -> float:
+    """max(-1.0, min(1.0, d)): the reference clamp of schedule.dot_rj_sprime.
+
+    Equal to its comparison clamp bit for bit for every finite d, -0.0
+    included.  Only NaN differs: min/max turn it into 1.0.
+    """
+    return max(-1.0, min(1.0, d))
+
+
+def dot_rj_sprime_reference(gamma: float, gamma_j: float, del_lam: float) -> float:
+    """The law of cosines through math-module trig and the min/max clamp."""
+    d = math.cos(gamma) * math.cos(gamma_j) + math.sin(gamma) * math.sin(
+        gamma_j
+    ) * math.cos(del_lam)
+    return clamp_minmax(d)
+
+
 def alpha_from_vectors(gamma: float, gamma_j: float, del_lam: float) -> float:
     """Signed angle about s' from the target axis to r_j, both projected
     onto the plane normal to s'.

@@ -177,21 +177,54 @@ def test_schedule_near_antipodal_start(capsys):
     assert row_0[2] == "9.5000e+01"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["schedule", "--del-lam-degs", "90"],
-        ["qubit", "--del-lam-degs", "90"],
-        ["grover"],
-        ["continuum", "--del-lam-degs", "90"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# the commands that take --gamma-degs in [0, 180)
+GAMMA_ARGVS = [
+    ["schedule", "--del-lam-degs", "90"],
+    ["qubit", "--del-lam-degs", "90"],
+    ["grover"],
+    ["continuum", "--del-lam-degs", "90"],
+]
+
+
+@pytest.mark.parametrize("argv", GAMMA_ARGVS, ids=lambda argv: argv[0])
 def test_antipodal_start_exits_1(capsys, argv):
     assert main(argv + ["--gamma-degs", "180"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "antipodal" in captured.err
+
+
+@pytest.mark.parametrize("argv", GAMMA_ARGVS, ids=lambda argv: argv[0])
+def test_gamma_domain_message_is_half_open(capsys, argv):
+    assert main(argv + ["--gamma-degs", "200"]) == 1
+    assert "[0, 180) degrees, got 200" in capsys.readouterr().err
+
+
+def test_del_lam_domain_message_is_closed(capsys):
+    assert main(["schedule", "--gamma-degs", "90", "--del-lam-degs", "200"]) == 1
+    assert "[0, 180] degrees, got 200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["schedule", "qubit"])
+def test_start_below_rounding_floor_exits_1(capsys, command):
+    # the first step rounds to exactly 0 here: the table would never move
+    assert main([command, "--gamma-degs", "179.9999997", "--del-lam-degs", "90"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rounds to 0" in captured.err and "1e-6 degrees of 0 or 180" in captured.err
+
+
+@pytest.mark.parametrize("del_lam_degs", ["0", "180"])
+def test_start_below_rounding_floor_at_trap_phases_still_runs(capsys, del_lam_degs):
+    argv = ["schedule", "--gamma-degs", "179.9999997", "--del-lam-degs", del_lam_degs]
+    assert main(argv + ["--num-steps", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["schedule", "qubit"])
+def test_start_above_rounding_floor_runs(capsys, command):
+    argv = [command, "--gamma-degs", "179.99999", "--del-lam-degs", "90"]
+    assert main(argv + ["--num-steps", "2"]) == 0
+    assert capsys.readouterr().out != ""
 
 
 @pytest.mark.parametrize(

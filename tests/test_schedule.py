@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afga.schedule
 from afga.bloch import Y_HAT, Z_HAT, polar_unit_vec, rotate
 from afga.schedule import (
     AfgaParams,
@@ -19,7 +20,12 @@ from afga.schedule import (
     iter_angles,
     steps_to_tolerance,
 )
-from helpers import alpha_from_vectors, search_gamma
+from helpers import (
+    alpha_from_vectors,
+    clamp_minmax,
+    dot_rj_sprime_reference,
+    search_gamma,
+)
 
 RNG = np.random.default_rng(20260814)
 
@@ -51,6 +57,51 @@ def test_dot_rj_sprime_matches_vectors():
         assert dot_rj_sprime(gamma, gamma_j, del_lam) == pytest.approx(
             float(r_j @ s_prime), abs=1e-12
         )
+
+
+closed_angles = st.floats(0.0, math.pi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(closed_angles, closed_angles, closed_angles)
+def test_dot_rj_sprime_bitwise_matches_reference(gamma, gamma_j, del_lam):
+    ours = dot_rj_sprime(gamma, gamma_j, del_lam)
+    assert ours.hex() == dot_rj_sprime_reference(gamma, gamma_j, del_lam).hex()
+
+
+@pytest.mark.parametrize(
+    "gamma, gamma_j, del_lam, expected",
+    [
+        # the law of cosines rounds to 1 + 2^-52 and to -1 - 2^-52 here
+        (1.4000000000000001, 1.4000000000000001, 0.0, 1.0),
+        (3.08, math.pi - 3.08, math.pi, -1.0),
+    ],
+)
+def test_dot_rj_sprime_clamps_roundoff(gamma, gamma_j, del_lam, expected):
+    ours = dot_rj_sprime(gamma, gamma_j, del_lam)
+    assert ours == expected
+    assert ours.hex() == dot_rj_sprime_reference(gamma, gamma_j, del_lam).hex()
+
+
+@pytest.mark.parametrize(
+    "d", [-0.0, 0.0, 0.5, -1.0, 1.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52, 3.0, -3.0]
+)
+def test_dot_rj_sprime_clamp_bitwise(monkeypatch, d):
+    # with identity trig the law of cosines at (d, 1, 0) is d + d * 0 = d,
+    # -0.0 included, so the clamp sees exactly d
+    monkeypatch.setattr(afga.schedule, "cos", float)
+    monkeypatch.setattr(afga.schedule, "sin", float)
+    assert dot_rj_sprime(d, 1.0, 0.0).hex() == clamp_minmax(d).hex()
+
+
+@pytest.mark.parametrize(
+    "args", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan)]
+)
+def test_nan_argument_gives_nan(args):
+    # a NaN del_lam must not read as the fixed point dbar_gamma = 0
+    assert math.isnan(dot_rj_sprime(*args))
+    assert math.isnan(dbar_gamma(*args))
+    assert math.isnan(alpha(*args))
 
 
 def test_dbar_gamma_fixed_points():
