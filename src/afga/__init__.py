@@ -21,9 +21,9 @@ from .schedule import (
     ConvergenceError,
     ScheduleRow,
     alpha,
+    arc_rj_sprime,
     build_schedule,
     dbar_gamma,
-    dot_rj_sprime,
     iter_angles,
     steps_to_tolerance,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "AfgaParams",
     "ScheduleRow",
     "ConvergenceError",
-    "dot_rj_sprime",
+    "arc_rj_sprime",
     "dbar_gamma",
     "alpha",
     "iter_angles",

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acos
+from math import pi
 
 import numpy as np
 
-from .schedule import AfgaParams, build_schedule, dot_rj_sprime
+from .schedule import AfgaParams, arc_rj_sprime, build_schedule
 
 __all__ = [
     "SaturationReport",
@@ -37,6 +37,7 @@ __all__ = [
 _LOCAL_ERR_TOL = 1e-8
 _MAX_HALVINGS = 40
 _DOMAIN_EPS = 1e-12
+_TAIL_WINDOW = (1e-8, 1e-2)  # g_min < g < g_max for the tail-rate fit
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,12 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
 
 
 def mu_of_g(g: float, gamma: float, del_lam: float) -> float:
-    """Arc in [0, pi] between the start vector and the post-target-phase point.
-
-    The arccos of schedule.dot_rj_sprime, whose clamp keeps roundoff at the
-    g = gamma corner inside the domain.
+    """Arc in [0, pi] between the start vector and the post-target-phase point:
+    schedule.arc_rj_sprime at gamma_j = g, within the flow's domain.
     """
-    if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS or not 0.0 <= gamma <= math.pi:
+    if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS or not 0.0 <= gamma <= pi:
         raise ValueError(f"need 0 <= g <= gamma <= pi, got g={g}, gamma={gamma}")
-    return acos(dot_rj_sprime(gamma, g, del_lam))
+    return arc_rj_sprime(gamma, g, del_lam)
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ def integrate_continuum(
 
     Classical RK4 with step-doubling error control: a step is accepted only
     if the full-step and two-half-step results agree to within 1e-8, else
-    the step is retried at half size.  The slope at the start of a step is
+    the step is retried at half size, as is a step whose RK4 stage leaves
+    the flow's domain [0, gamma].  The slope at the start of a step is
     computed once and serves the sign check, the full step and the first
     half-step: 11 slope evaluations per accepted step, 10 per retry.  The
     slope must stay non-positive at every accepted step, and g is clamped
@@ -169,11 +169,14 @@ def integrate_continuum(
             raise ArithmeticError(f"positive slope at g = {g}; flow must decay")
         h = min(step_size, t_max - t)
         for _ in range(_MAX_HALVINGS):
-            full = rk4_step(g, k1, h)
-            mid = rk4_step(g, k1, 0.5 * h)
-            half = rk4_step(mid, _rhs(mid, gamma, del_lam), 0.5 * h)
-            if abs(half - full) <= _LOCAL_ERR_TOL:
-                break
+            try:
+                full = rk4_step(g, k1, h)
+                mid = rk4_step(g, k1, 0.5 * h)
+                half = rk4_step(mid, _rhs(mid, gamma, del_lam), 0.5 * h)
+                if abs(half - full) <= _LOCAL_ERR_TOL:
+                    break
+            except ValueError:
+                pass  # an RK4 stage left [0, gamma], where mu_of_g refuses
             h *= 0.5
         else:
             raise ArithmeticError(
@@ -186,17 +189,14 @@ def integrate_continuum(
     return ContinuumTrace(np.array(ts), np.array(gs), gamma, del_lam, step_size)
 
 
-def fit_tail_rate(
-    trace: ContinuumTrace,
-    g_max: float = 1e-2,
-    g_min: float = 1e-8,
-) -> float:
+def fit_tail_rate(trace: ContinuumTrace) -> float:
     """Exponential decay rate of the trace tail, from a straight-line fit
-    of log g(t) over the window g_min < g < g_max.
+    of log g(t) over the window 1e-8 < g < 1e-2.
 
     For del_lam in (0, pi) the fitted rate approaches 1 - cos(del_lam)
     independent of gamma.
     """
+    g_min, g_max = _TAIL_WINDOW
     mask = (trace.g > g_min) & (trace.g < g_max)
     if int(mask.sum()) < 2:
         raise ValueError(

@@ -76,11 +76,11 @@ def _del_lam(args: argparse.Namespace) -> float:
 
 def _params(args: argparse.Namespace) -> AfgaParams:
     p = AfgaParams(_gamma(args), _del_lam(args), args.num_steps)
-    stuck = dbar_gamma(p.gamma, p.gamma, p.del_lam) == 0.0
-    if stuck and 0.0 < p.gamma and 0.0 < p.del_lam < math.pi:
+    frozen = p.gamma - dbar_gamma(p.gamma, p.gamma, p.del_lam) == p.gamma
+    if frozen and 0.0 < p.gamma and 0.0 < p.del_lam < math.pi:
         raise UsageError(
-            f"--gamma-degs {args.gamma_degs!r}: the first step rounds to 0 and the start "
-            "never moves; the law of cosines rounds to 1 within ~1e-6 degrees of 0 or 180"
+            f"--gamma-degs {args.gamma_degs!r}: the first step is below half an ulp of "
+            "the start angle, so the start never moves"
         )
     return p
 

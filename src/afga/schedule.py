@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan2, cos, sin, sqrt
+from math import asin, atan2, cos, sin, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = [
     "ConvergenceError",
     "AfgaParams",
     "ScheduleRow",
-    "dot_rj_sprime",
+    "arc_rj_sprime",
     "dbar_gamma",
     "alpha",
     "iter_angles",
@@ -77,26 +77,28 @@ class ScheduleRow:
     s_j: np.ndarray
 
 
-def dot_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
-    """Cosine of the arc between r_j and the start vector, clamped to [-1, 1].
+def arc_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
+    """Arc mu_j in [0, pi] between r_j and the start vector.
 
-    Spherical law of cosines for the triangle with legs gamma and gamma_j
-    meeting at the target axis with dihedral angle del_lam.  The clamp is
-    two comparisons, so a NaN argument comes back as NaN.
+    Haversine formula for the triangle with legs gamma and gamma_j meeting
+    at the target axis with dihedral angle del_lam: small arcs keep full
+    precision unless its two terms cancel (gamma_j near -gamma, del_lam near
+    pi).  The clamp to [0, 1] is two comparisons, so NaN stays NaN.
     """
-    d = cos(gamma) * cos(gamma_j) + sin(gamma) * sin(gamma_j) * cos(del_lam)
-    return -1.0 if d < -1.0 else 1.0 if d > 1.0 else d
+    a = sin(0.5 * (gamma - gamma_j))
+    b = sin(0.5 * del_lam)
+    h = a * a + sin(gamma) * sin(gamma_j) * b * b
+    return 2.0 * asin(sqrt(0.0 if h < 0.0 else 1.0 if h > 1.0 else h))
 
 
 def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
-    """Angle removed from gamma_j by step j.
+    """Angle removed from gamma_j by step j, so that gamma_{j+1} = gamma - mu_j.
 
-    The arc between r_j and the start axis is taken on the non-negative
+    The arc mu_j between r_j and the start axis is taken on the non-negative
     branch, so the returned decrement can exceed gamma_j (overshoot) but a
     step never increases |gamma_j| above its previous value.
     """
-    d = dot_rj_sprime(gamma, gamma_j, del_lam)
-    return -gamma + gamma_j + atan2(sqrt(1.0 - d * d), d)
+    return -gamma + gamma_j + arc_rj_sprime(gamma, gamma_j, del_lam)
 
 
 def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:

@@ -62,21 +62,16 @@ def search_gamma(nb: int) -> float:
     return 2.0 * math.acos(2.0 ** (-0.5 * nb))
 
 
-def clamp_minmax(d: float) -> float:
-    """max(-1.0, min(1.0, d)): the reference clamp of schedule.dot_rj_sprime.
+def arc_from_vectors(gamma: float, gamma_j: float, del_lam: float) -> float:
+    """Angle atan2(|r_j x s'|, r_j . s') between r_j and the start vector.
 
-    Equal to its comparison clamp bit for bit for every finite d, -0.0
-    included.  Only NaN differs: min/max turn it into 1.0.
+    The vector reference for schedule.arc_rj_sprime; r_j is s_j turned by
+    -del_lam about z.  The atan2 form keeps its absolute accuracy at every
+    arc, where arccos of the dot product loses it near 0 and pi.
     """
-    return max(-1.0, min(1.0, d))
-
-
-def dot_rj_sprime_reference(gamma: float, gamma_j: float, del_lam: float) -> float:
-    """The law of cosines through math-module trig and the min/max clamp."""
-    d = math.cos(gamma) * math.cos(gamma_j) + math.sin(gamma) * math.sin(
-        gamma_j
-    ) * math.cos(del_lam)
-    return clamp_minmax(d)
+    s_prime = polar_unit_vec(gamma)
+    r_j = rotate(polar_unit_vec(gamma_j), Z_HAT, -del_lam)
+    return math.atan2(float(np.linalg.norm(np.cross(r_j, s_prime))), float(r_j @ s_prime))
 
 
 def alpha_from_vectors(gamma: float, gamma_j: float, del_lam: float) -> float:

@@ -98,7 +98,7 @@ def test_mu_examples():
     # g = gamma: the arc between s' and its own image after the target phase
     assert mu_of_g(math.pi / 2, math.pi / 2, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert mu_of_g(math.pi / 2, math.pi / 2, math.pi) == math.pi
-    # the law of cosines rounds to 1 + 2^-52 here; the clamp keeps acos defined
+    # g = gamma at del_lam = 0 has no arc, and roundoff must not make one
     assert mu_of_g(1.4000000000000001, 1.4000000000000001, 0.0) == 0.0
 
 
@@ -145,10 +145,13 @@ def _plain_step_doubling(gamma, del_lam, t_max, step_size):
         h = min(step_size, t_max - t)
         while True:
             trials += 1
-            full = rk4(g, h)
-            half = rk4(rk4(g, 0.5 * h), 0.5 * h)
-            if abs(half - full) <= 1e-8:
-                break
+            try:
+                full = rk4(g, h)
+                half = rk4(rk4(g, 0.5 * h), 0.5 * h)
+                if abs(half - full) <= 1e-8:
+                    break
+            except ValueError:
+                pass  # a stage outside [0, gamma] rejects the trial
             h *= 0.5
         t += h
         g = max(half, 0.0)
@@ -173,25 +176,15 @@ def test_integrate_equals_plain_step_doubling(gamma, del_lam, t_max, step_size):
     np.testing.assert_array_equal(trace.g, gs)
 
 
-# del_lam stays above 1e-3 rad: below about 1e-6 rad, acos roundoff in the
-# stationary flow trips the integrator's slope check, which the plain loop
-# does not make, so the two have nothing to compare there
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(0.01, math.pi),
-    st.floats(1e-3, math.pi),
+    st.floats(0.0, math.pi),
     st.floats(0.05, 2.0),
     st.floats(0.01, 1.0),
 )
 def test_integrate_equals_plain_step_doubling_anywhere(gamma, del_lam, t_max, step_size):
-    try:
-        ts, gs, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
-    except ValueError:
-        # a long step carries an RK4 stage outside [0, gamma], where mu_of_g
-        # refuses; the integrator takes the same stages and must refuse too
-        with pytest.raises(ValueError):
-            integrate_continuum(gamma, del_lam, t_max, step_size)
-        return
+    ts, gs, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
     trace = integrate_continuum(gamma, del_lam, t_max, step_size)
     np.testing.assert_array_equal(trace.t, ts)
     np.testing.assert_array_equal(trace.g, gs)

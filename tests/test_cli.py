@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from afga.cli import main
 from afga.formats import parse_afga_txt
+from afga.schedule import dbar_gamma
 from helpers import GOLDEN_AFGA, assert_tables_match
 
 GOLDEN_ARGS = [
@@ -207,11 +209,13 @@ def test_del_lam_domain_message_is_closed(capsys):
 
 @pytest.mark.parametrize("command", ["schedule", "qubit"])
 def test_start_below_rounding_floor_exits_1(capsys, command):
-    # the first step rounds to exactly 0 here: the table would never move
-    assert main([command, "--gamma-degs", "179.9999997", "--del-lam-degs", "90"]) == 1
+    # the first step, 3.0e-18 rad, is below half an ulp of gamma: the table
+    # would never move
+    argv = [command, "--gamma-degs", "179.999999999999", "--del-lam-degs", "0.01"]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "rounds to 0" in captured.err and "1e-6 degrees of 0 or 180" in captured.err
+    assert "below half an ulp" in captured.err and "never moves" in captured.err
 
 
 @pytest.mark.parametrize("del_lam_degs", ["0", "180"])
@@ -222,9 +226,36 @@ def test_start_below_rounding_floor_at_trap_phases_still_runs(capsys, del_lam_de
 
 @pytest.mark.parametrize("command", ["schedule", "qubit"])
 def test_start_above_rounding_floor_runs(capsys, command):
-    argv = [command, "--gamma-degs", "179.99999", "--del-lam-degs", "90"]
-    assert main(argv + ["--num-steps", "2"]) == 0
-    assert capsys.readouterr().out != ""
+    for gamma_degs in ("179.99999", "179.9999997"):
+        argv = [command, "--gamma-degs", gamma_degs, "--del-lam-degs", "90"]
+        assert main(argv + ["--num-steps", "2"]) == 0
+        assert capsys.readouterr().out != ""
+
+
+# gamma 1e-15 to 1e-5 degrees from 0 or 180; 180 - 1e-14 and closer round to 180
+EDGE_OFFSETS = [10.0**-k for k in range(5, 16)]
+EDGE_STARTS = EDGE_OFFSETS + [180.0 - d for d in EDGE_OFFSETS if 180.0 - d < 180.0]
+
+
+def test_cli_refuses_exactly_the_frozen_starts(capsys):
+    frozen = 0
+    for gamma_degs in EDGE_STARTS:
+        gamma = math.radians(gamma_degs)
+        for del_lam_degs in (1e-6, 0.01, 1, 10, 45, 90, 135, 179, 179.99):
+            del_lam = math.radians(del_lam_degs)
+            still = gamma - dbar_gamma(gamma, gamma, del_lam) == gamma
+            # the first arc: its chord is 2 sin(gamma) sin(del_lam / 2)
+            step = 2.0 * math.asin(math.sin(gamma) * math.sin(0.5 * del_lam))
+            assert still == (step < 0.5 * math.ulp(gamma)), (gamma_degs, del_lam_degs)
+            argv = ["schedule", "--gamma-degs", repr(gamma_degs)]
+            argv += ["--del-lam-degs", repr(del_lam_degs), "--num-steps", "1"]
+            assert main(argv) == (1 if still else 0), argv
+            frozen += still
+    # 160 of these 180 starts froze when the law of cosines rounded to 1
+    assert len(EDGE_STARTS) == 20 and frozen == 11
+    # the haversine underflows here: sin(gamma)^2 is below the least double
+    assert main(["schedule", "--gamma-degs", "1e-200", "--del-lam-degs", "90"]) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -236,6 +267,26 @@ def test_continuum_non_finite_time_exits_1(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gamma-degs", "120", "--del-lam-degs", "0", "--t-max", "1"],
+        ["--gamma-degs", "10", "--del-lam-degs", "0", "--t-max", "1"]
+        + ["--step-size", "0.3"],
+        # an RK4 stage of the unit step lands below g = 0: the step is halved
+        ["--gamma-degs", "0.573", "--del-lam-degs", "180", "--t-max", "1.2"]
+        + ["--step-size", "1"],
+    ],
+    ids=["still-120", "still-10-long-step", "stage-below-0"],
+)
+def test_continuum_edge_flows_run(capsys, argv):
+    assert main(["continuum"] + argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    g = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    assert len(g) > 2 and g[0] == math.radians(float(argv[1]))
+    assert np.all(g >= 0.0) and np.all(np.diff(g) <= 0.0)
 
 
 @pytest.mark.parametrize("n_tail", ["0", "-3"])

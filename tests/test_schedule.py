@@ -8,24 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import afga.schedule
 from afga.bloch import Y_HAT, Z_HAT, polar_unit_vec, rotate
 from afga.schedule import (
     AfgaParams,
     ConvergenceError,
     alpha,
+    arc_rj_sprime,
     build_schedule,
     dbar_gamma,
-    dot_rj_sprime,
     iter_angles,
     steps_to_tolerance,
 )
-from helpers import (
-    alpha_from_vectors,
-    clamp_minmax,
-    dot_rj_sprime_reference,
-    search_gamma,
-)
+from helpers import alpha_from_vectors, arc_from_vectors, search_gamma
 
 RNG = np.random.default_rng(20260814)
 
@@ -41,57 +35,50 @@ def test_params_validation():
         AfgaParams(1.0, 1.0, -1)
 
 
-def test_dot_rj_sprime_degenerate_cases():
-    assert dot_rj_sprime(0.0, 0.7, 0.3) == pytest.approx(math.cos(0.7))
-    assert dot_rj_sprime(0.7, 0.7, 0.0) == pytest.approx(1.0)
-    assert dot_rj_sprime(math.pi, math.pi, math.pi) == pytest.approx(1.0)
-
-
-def test_dot_rj_sprime_matches_vectors():
-    for _ in range(50):
-        gamma = RNG.uniform(0.0, math.pi)
-        gamma_j = RNG.uniform(-gamma, gamma)
-        del_lam = RNG.uniform(0.0, math.pi)
-        r_j = rotate(polar_unit_vec(gamma_j), Z_HAT, -del_lam)
-        s_prime = polar_unit_vec(gamma)
-        assert dot_rj_sprime(gamma, gamma_j, del_lam) == pytest.approx(
-            float(r_j @ s_prime), abs=1e-12
-        )
-
-
 closed_angles = st.floats(0.0, math.pi)
 
 
 @settings(max_examples=500, deadline=None)
-@given(closed_angles, closed_angles, closed_angles)
-def test_dot_rj_sprime_bitwise_matches_reference(gamma, gamma_j, del_lam):
-    ours = dot_rj_sprime(gamma, gamma_j, del_lam)
-    assert ours.hex() == dot_rj_sprime_reference(gamma, gamma_j, del_lam).hex()
+@given(closed_angles, st.floats(-1.0, 1.0), closed_angles)
+def test_arc_rj_sprime_matches_vectors(gamma, frac, del_lam):
+    gamma_j = frac * gamma
+    ref = arc_from_vectors(gamma, gamma_j, del_lam)
+    # 1e-12 wherever the arc is well conditioned.  The haversine's rounding,
+    # a few eps times the size of its two terms, is scaled by d mu / d hav =
+    # 2 / sin(mu), which grows near mu = pi and where the terms cancel
+    # (gamma_j near -gamma, del_lam near pi); the law of cosines loses about
+    # as many digits there.
+    terms = math.sin(0.5 * (gamma - gamma_j)) ** 2 + abs(
+        math.sin(gamma) * math.sin(gamma_j)
+    ) * math.sin(0.5 * del_lam) ** 2
+    tol = 1e-12 + 32.0 * math.ulp(1.0) * terms / max(math.sin(ref), 1e-300)
+    assert abs(arc_rj_sprime(gamma, gamma_j, del_lam) - ref) <= tol
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_arc_rj_sprime_keeps_small_arcs_near_antipode(k):
+    # gamma_j = gamma makes the triangle isosceles, with chord 2 sin(gamma)
+    # sin(del_lam / 2): an arc of about 2e-k here, which the law of cosines
+    # rounds away
+    gamma = math.pi - 10.0**-k
+    for del_lam in (1e-6, 0.3, math.pi / 2, 2.9):
+        want = 2.0 * math.asin(math.sin(gamma) * math.sin(0.5 * del_lam))
+        assert arc_rj_sprime(gamma, gamma, del_lam) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "gamma, gamma_j, del_lam, expected",
     [
-        # the law of cosines rounds to 1 + 2^-52 and to -1 - 2^-52 here
-        (1.4000000000000001, 1.4000000000000001, 0.0, 1.0),
-        (3.08, math.pi - 3.08, math.pi, -1.0),
+        # the haversine rounds to 1 + 2^-52 and to -2^-53 here
+        (3.08, math.pi - 3.08, math.pi, math.pi),
+        (1.0, -0.9999999999999998, math.pi, 0.0),
+        (0.0, 0.7, 0.3, 0.7),
+        (0.7, 0.7, 0.0, 0.0),
+        (math.pi, math.pi, math.pi, 0.0),
     ],
 )
-def test_dot_rj_sprime_clamps_roundoff(gamma, gamma_j, del_lam, expected):
-    ours = dot_rj_sprime(gamma, gamma_j, del_lam)
-    assert ours == expected
-    assert ours.hex() == dot_rj_sprime_reference(gamma, gamma_j, del_lam).hex()
-
-
-@pytest.mark.parametrize(
-    "d", [-0.0, 0.0, 0.5, -1.0, 1.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52, 3.0, -3.0]
-)
-def test_dot_rj_sprime_clamp_bitwise(monkeypatch, d):
-    # with identity trig the law of cosines at (d, 1, 0) is d + d * 0 = d,
-    # -0.0 included, so the clamp sees exactly d
-    monkeypatch.setattr(afga.schedule, "cos", float)
-    monkeypatch.setattr(afga.schedule, "sin", float)
-    assert dot_rj_sprime(d, 1.0, 0.0).hex() == clamp_minmax(d).hex()
+def test_arc_rj_sprime_corners(gamma, gamma_j, del_lam, expected):
+    assert arc_rj_sprime(gamma, gamma_j, del_lam) == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +86,7 @@ def test_dot_rj_sprime_clamp_bitwise(monkeypatch, d):
 )
 def test_nan_argument_gives_nan(args):
     # a NaN del_lam must not read as the fixed point dbar_gamma = 0
-    assert math.isnan(dot_rj_sprime(*args))
+    assert math.isnan(arc_rj_sprime(*args))
     assert math.isnan(dbar_gamma(*args))
     assert math.isnan(alpha(*args))
 
@@ -296,12 +283,12 @@ def _reported_cycle(gamma, del_lam, tol):
         (1, 0.0, 1, 1),
         (3, 0.0, 1, 1),
         (4, 0.0, 1, 1),
-        (6, 0.0, 1, 2),
+        (6, 0.0, 1, 1),
         (18, 0.0, 1, 1),
         (1, math.pi, 2, 4),
         (3, math.pi, 2, 4),
-        (4, math.pi, 4, 8),
-        (6, math.pi, 2, 18),
+        (4, math.pi, 2, 6),
+        (6, math.pi, 2, 10),
         (18, math.pi, 2, 514),
     ],
 )
