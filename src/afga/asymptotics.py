@@ -87,7 +87,8 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
         raise ValueError(f"n_tail must be >= 1, got {n_tail}")
     report = saturation_analysis(gamma_degs)
     gamma = math.radians(float(Fraction(gamma_degs)))
-    num_steps = 10 * max(report.j_sat, 1) + n_tail
+    # an even margin past the exact landing j_sat keeps the tail's parity
+    num_steps = 2 * (report.j_sat // 2 + 2) + n_tail
     rows = build_schedule(AfgaParams(gamma, math.pi, num_steps))
     tail = [row.gamma_j for row in rows[-n_tail:]]
     big = report.big_gamma
@@ -115,9 +116,6 @@ class ContinuumTrace:
 
     t: np.ndarray
     g: np.ndarray
-    gamma: float
-    del_lam: float
-    step_size: float
 
     def at(self, t) -> np.ndarray | float:
         """g at arbitrary times by linear interpolation of the samples."""
@@ -143,7 +141,8 @@ def integrate_continuum(
     computed once and serves the sign check, the full step and the first
     half-step: 11 slope evaluations per accepted step, 10 per retry.  The
     slope must stay non-positive at every accepted step, and g is clamped
-    at 0 once the flow reaches the target, after which it stays there.
+    at 0.  The trace ends early at g = 0 or at the first step that returns
+    g itself, since each later step would repeat that one.
     """
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
@@ -182,11 +181,13 @@ def integrate_continuum(
             raise ArithmeticError(
                 f"step size underflow at t = {t}: local error stayed above {_LOCAL_ERR_TOL}"
             )
-        t += h
-        g = max(half, 0.0)
+        g_next = max(half, 0.0)
+        if g_next == g:
+            break  # a fixed point: each later pass would repeat this one
+        t, g = t + h, g_next
         ts.append(t)
         gs.append(g)
-    return ContinuumTrace(np.array(ts), np.array(gs), gamma, del_lam, step_size)
+    return ContinuumTrace(np.array(ts), np.array(gs))
 
 
 def fit_tail_rate(trace: ContinuumTrace) -> float:

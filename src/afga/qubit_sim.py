@@ -3,10 +3,11 @@ fixed-step amplitude amplification.
 
 The target is |0> throughout.  Each adaptive step applies the target phase
 e^{i del_lam |0><0|} first and the start-state phase e^{i alpha_j |s'><s'|}
-second; the miss probability after k steps is ERR_k = 1 - |<0|psi_k>|^2.
-Both phases are rank-1, so a run carries the two amplitudes (a0, a1) and
-never forms a 2x2 operator, the same update search_sim applies to 2^nb
-amplitudes.
+second; the miss probability after k steps is ERR_k = |<1|psi_k>|^2, read
+off the amplitude, since 1 - |<0|psi_k>|^2 cancels near 1e-16 and can go
+negative.  Both phases are rank-1, so a run carries the two amplitudes
+(a0, a1) and never forms a 2x2 operator, the same update search_sim applies
+to 2^nb amplitudes.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:
     target_factor = cmath.exp(1.0j * del_lam)
     a0, a1 = complex(s0), complex(s1)
     p0, p1 = s0 * s0, s1 * s1
-    errs, zs = [1.0 - p0], [p0 - p1]
+    errs, zs = [p1], [p0 - p1]
     for alpha_j in alphas:
         a0 *= target_factor
         shift = (cmath.exp(1.0j * alpha_j) - 1.0) * (s0 * a0 + s1 * a1)
         a0 += shift * s0
         a1 += shift * s1
         p0, p1 = abs(a0) ** 2, abs(a1) ** 2
-        errs.append(1.0 - p0)
+        errs.append(p1)
         zs.append(p0 - p1)
     return ErrTrace(np.array(errs), np.array(zs))
 
@@ -65,8 +66,8 @@ def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:
 def run_afga_qubit(params: AfgaParams) -> ErrTrace:
     """Run num_steps adaptive steps from the start state at angle gamma.
 
-    err[k] falls monotonically to 0 for del_lam in (0, pi); at del_lam = pi
-    it stalls at the residual angle of the uniform-stepping tail.
+    err[k] falls monotonically to 0 (rounding rises stay below 1e-26) for
+    del_lam in (0, pi); at del_lam = pi it stalls at the trap's residual angle.
     """
     angles = itertools.islice(iter_angles(params.gamma, params.del_lam), params.num_steps)
     return _run(params.gamma, params.del_lam, (alpha_j for _, _, alpha_j in angles))
@@ -80,10 +81,7 @@ def run_grover_qubit(gamma: float, num_steps: int) -> ErrTrace:
     best k the miss probability climbs again, with period pi / (pi - gamma)
     in k.
     """
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    AfgaParams(gamma, math.pi, num_steps)  # raises on gamma or num_steps out of range
     if gamma == 0.0:
         raise ValueError("gamma = 0 leaves nothing to amplify")
-    if not 0.0 <= gamma <= math.pi:
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     return _run(gamma, math.pi, itertools.repeat(math.pi, num_steps))

@@ -157,6 +157,7 @@ def steps_to_tolerance(
     iterate at the last power-of-two step (Brent's cycle check): the run is
     then periodic, as at del_lam = 0 or pi, or for tol below the floor.
     """
+    AfgaParams(gamma, del_lam, 0)  # raises on angles outside [0, pi]
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     gamma_j, mark, mark_j = gamma, gamma, 0

@@ -18,7 +18,7 @@ from afga.asymptotics import (
     saturation_analysis,
     verify_saturation,
 )
-from afga.schedule import dbar_gamma, iter_angles
+from afga.schedule import build_schedule, dbar_gamma, iter_angles
 from helpers import max_initial_slope
 
 RNG = np.random.default_rng(20260814)
@@ -79,6 +79,23 @@ def test_verify_saturation_random():
         assert verify_saturation(float(gamma)) < 1e-6
 
 
+@pytest.mark.parametrize("n_tail", [1, 2, 10])
+@pytest.mark.parametrize("gamma_degs", [160, 164, 166, 179.9])
+def test_verify_saturation_stops_past_the_landing(monkeypatch, gamma_degs, n_tail):
+    built = []
+
+    def recording_build(params):
+        rows = build_schedule(params)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(afga.asymptotics, "build_schedule", recording_build)
+    assert verify_saturation(gamma_degs, n_tail) < 1e-9
+    # the start row, then at most 4 steps past the landing and the tail
+    assert built == [built[0]]
+    assert built[0] <= 1 + saturation_analysis(gamma_degs).j_sat + 4 + n_tail
+
+
 def test_mu_examples():
     # del_lam = pi folds the arc to the smaller of 2g and 2 pi - 2g
     assert mu_of_g(math.radians(40), math.radians(40), math.pi) == pytest.approx(
@@ -125,8 +142,9 @@ def test_mu_domain_validation():
 def _plain_step_doubling(gamma, del_lam, t_max, step_size):
     """The step-doubling RK4 loop with every RK4 step computing its own slopes.
 
-    Returns the accepted samples and the number of trial steps, full plus
-    two halves each.
+    Returns the accepted samples, the number of passes of the outer loop
+    (the last one may end the trace at a fixed point without a sample) and
+    the number of trial steps, full plus two halves each.
     """
 
     def rhs(g):
@@ -139,9 +157,10 @@ def _plain_step_doubling(gamma, del_lam, t_max, step_size):
         k4 = rhs(g + h * k3)
         return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    ts, gs, trials = [0.0], [gamma], 0
+    ts, gs, passes, trials = [0.0], [gamma], 0, 0
     t, g = 0.0, gamma
     while t < t_max and g > 0.0:
+        passes += 1
         h = min(step_size, t_max - t)
         while True:
             trials += 1
@@ -153,11 +172,13 @@ def _plain_step_doubling(gamma, del_lam, t_max, step_size):
             except ValueError:
                 pass  # a stage outside [0, gamma] rejects the trial
             h *= 0.5
+        if max(half, 0.0) == g:
+            break  # a fixed point: the integrator stops here too
         t += h
         g = max(half, 0.0)
         ts.append(t)
         gs.append(g)
-    return np.array(ts), np.array(gs), trials
+    return np.array(ts), np.array(gs), passes, trials
 
 
 RK4_CASES = [
@@ -171,7 +192,7 @@ RK4_CASES = [
 @pytest.mark.parametrize("gamma, del_lam, t_max, step_size", RK4_CASES)
 def test_integrate_equals_plain_step_doubling(gamma, del_lam, t_max, step_size):
     trace = integrate_continuum(gamma, del_lam, t_max, step_size)
-    ts, gs, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    ts, gs, _, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
     np.testing.assert_array_equal(trace.t, ts)
     np.testing.assert_array_equal(trace.g, gs)
 
@@ -184,7 +205,7 @@ def test_integrate_equals_plain_step_doubling(gamma, del_lam, t_max, step_size):
     st.floats(0.01, 1.0),
 )
 def test_integrate_equals_plain_step_doubling_anywhere(gamma, del_lam, t_max, step_size):
-    ts, gs, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    ts, gs, _, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
     trace = integrate_continuum(gamma, del_lam, t_max, step_size)
     np.testing.assert_array_equal(trace.t, ts)
     np.testing.assert_array_equal(trace.g, gs)
@@ -192,8 +213,9 @@ def test_integrate_equals_plain_step_doubling_anywhere(gamma, del_lam, t_max, st
 
 @pytest.mark.parametrize("gamma, del_lam, t_max, step_size", RK4_CASES)
 def test_integrate_shares_the_start_slope(monkeypatch, gamma, del_lam, t_max, step_size):
-    # one slope check per accepted step; 10 evaluations per trial, since
-    # the full step and the first half-step reuse the start slope
+    # one start slope per pass, the pass that ends the trace at a fixed
+    # point included; 10 evaluations per trial, since the full step and the
+    # first half-step reuse the start slope
     calls = 0
 
     def counting_mu(*args):
@@ -201,10 +223,21 @@ def test_integrate_shares_the_start_slope(monkeypatch, gamma, del_lam, t_max, st
         calls += 1
         return mu_of_g(*args)
 
-    _, _, trials = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    _, _, passes, trials = _plain_step_doubling(gamma, del_lam, t_max, step_size)
     monkeypatch.setattr(afga.asymptotics, "mu_of_g", counting_mu)
-    accepted = len(integrate_continuum(gamma, del_lam, t_max, step_size).t) - 1
-    assert calls == accepted + 10 * trials
+    integrate_continuum(gamma, del_lam, t_max, step_size)
+    assert calls == passes + 10 * trials
+
+
+def test_trace_ends_at_the_fixed_point():
+    # at 90/90 degrees the flow reaches g = 1.7e-16 near t = 37, where a step
+    # returns g itself; a longer t_max adds nothing
+    trace = integrate_continuum(math.pi / 2, math.pi / 2, 80.0)
+    longer = integrate_continuum(math.pi / 2, math.pi / 2, 400.0)
+    np.testing.assert_array_equal(longer.t, trace.t)
+    np.testing.assert_array_equal(longer.g, trace.g)
+    assert len(trace.t) == 3656 and trace.t[-1] < 40.0
+    assert 0.0 < trace.g[-1] < 1e-15
 
 
 def test_integrate_basic_shape():
@@ -318,7 +351,9 @@ def test_integrator_validation():
     [(math.inf, 0.01), (math.nan, 0.01), (10.0, math.nan), (10.0, math.inf)],
 )
 def test_integrator_rejects_non_finite_times(t_max, step_size):
-    # t_max = inf never returns, since the flow stalls near g = 1e-16
+    # t_max = inf might never return: the trace ends early at the flow's
+    # fixed point, but at small del_lam the flow (rate 1 - cos del_lam) can
+    # take arbitrarily long to reach it
     with pytest.raises(ValueError, match="finite"):
         integrate_continuum(1.0, 1.0, t_max, step_size=step_size)
 

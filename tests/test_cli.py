@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,20 @@ GOLDEN_ARGS = [
     "--num-steps",
     "20",
 ]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_exit_0(capsys, monkeypatch, tmp_path):
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("afga ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)  # the commands write their --out files here
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+    capsys.readouterr()
 
 
 def test_schedule_reproduces_golden_file(tmp_path):
@@ -284,8 +300,15 @@ def test_continuum_non_finite_time_exits_1(capsys, flag, value):
 def test_continuum_edge_flows_run(capsys, argv):
     assert main(["continuum"] + argv) == 0
     rows = capsys.readouterr().out.splitlines()
-    g = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    assert len(g) > 2 and g[0] == math.radians(float(argv[1]))
+    samples = [tuple(map(float, r.split(","))) for r in rows[1:]]
+    gamma = math.radians(float(argv[1]))
+    if argv[3] == "0":
+        # the flow is stationary: its first step returns the start, so the
+        # trace ends there, at its fixed point
+        assert samples == [(0.0, gamma)]
+        return
+    g = np.array([g_k for _, g_k in samples])
+    assert len(g) > 2 and g[0] == gamma
     assert np.all(g >= 0.0) and np.all(np.diff(g) <= 0.0)
 
 

@@ -154,7 +154,7 @@ def test_continuum_csv():
     assert lines[0] == "t,g"
     assert len(lines) == len(trace.t) + 1
     assert float(lines[1].split(",")[1]) == 1.0
-    pinned = ContinuumTrace(np.array([0.0, 1.0, 2.5]), PIN, 1.0, 1.0, 0.01)
+    pinned = ContinuumTrace(np.array([0.0, 1.0, 2.5]), PIN)
     assert continuum_csv(pinned) == (
         "t,g\n0.0,0.1\n1.0,0.3333333333333333\n2.5,-0.0\n"
     )

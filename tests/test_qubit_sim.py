@@ -105,6 +105,17 @@ def test_afga_matches_so3_schedule():
         np.testing.assert_allclose(trace.err, 0.5 * (1.0 - z), atol=1e-10)
 
 
+def test_err_stays_non_negative_and_monotone():
+    # err = |a1|^2 has no cancellation, where 1 - |a0|^2 dips to -4e-14
+    # and rises by up to 7e-16 at its floor near 1e-16
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        gamma, del_lam = rng.uniform(0.0, math.pi, size=2)
+        err = run_afga_qubit(AfgaParams(gamma, del_lam, 300)).err
+        assert err.min() >= 0.0, (gamma, del_lam)
+        assert np.diff(err).max() <= 1e-24, (gamma, del_lam)
+
+
 def test_grover_closed_form():
     for _ in range(10):
         gamma = RNG.uniform(0.1, math.pi)

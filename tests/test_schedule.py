@@ -35,6 +35,13 @@ def test_params_validation():
         AfgaParams(1.0, 1.0, -1)
 
 
+@pytest.mark.parametrize("gamma, del_lam", [(1.0, 4.0), (1.0, -0.5), (4.0, 1.0)])
+def test_steps_to_tolerance_validates_angles(gamma, del_lam):
+    # unchecked, these iterate: to 48 and 153 steps, and into a period-1 cycle
+    with pytest.raises(ValueError, match="must lie in"):
+        steps_to_tolerance(gamma, del_lam)
+
+
 closed_angles = st.floats(0.0, math.pi)
 
 
