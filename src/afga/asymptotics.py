@@ -22,7 +22,7 @@ from math import pi
 
 import numpy as np
 
-from .schedule import AfgaParams, arc_rj_sprime, build_schedule
+from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, arc_rj_sprime, build_schedule
 
 __all__ = [
     "SaturationReport",
@@ -66,8 +66,7 @@ def saturation_analysis(gamma_degs) -> SaturationReport:
     Accepts int, float, str or Fraction; the arithmetic is exact rational,
     so boundary cases such as gamma_jsat = 0 come out exactly zero.
     """
-    g = Fraction(gamma_degs)
-    if not 90 < g < 180:
+    if gamma_degs in (math.inf, -math.inf) or not 90 < (g := Fraction(gamma_degs)) < 180:
         raise ValueError(f"gamma must lie in (90, 180) degrees, got {gamma_degs}")
     del_gamma = 2 * (180 - g)
     j_sat = g // del_gamma
@@ -89,6 +88,8 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     gamma = math.radians(float(Fraction(gamma_degs)))
     # an even margin past the exact landing j_sat keeps the tail's parity
     num_steps = 2 * (report.j_sat // 2 + 2) + n_tail
+    if num_steps > MAX_SCHEDULE_STEPS:
+        raise ValueError(f"j_sat = {report.j_sat} runs past the {MAX_SCHEDULE_STEPS}-step cap")
     rows = build_schedule(AfgaParams(gamma, math.pi, num_steps))
     tail = [row.gamma_j for row in rows[-n_tail:]]
     big = report.big_gamma

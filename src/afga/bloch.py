@@ -1,7 +1,7 @@
-"""Bloch-sphere geometry and the 2x2 Pauli algebra.
+"""Bloch-sphere geometry and the Pauli matrices: the tests' reference.
 
-Unit vectors in R^3 stand for pure qubit states; the helpers here move
-between that picture and the corresponding kets and SU(2) matrices.
+No library run calls these helpers.  They stay in the package only because
+the benchmark tracer patches them where schedule and qubit_sim import them.
 """
 
 from __future__ import annotations
@@ -11,31 +11,19 @@ import math
 import numpy as np
 
 __all__ = [
-    "X_HAT",
-    "Y_HAT",
-    "Z_HAT",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "ID2",
     "unit_vec",
-    "polar_unit_vec",
     "rotate",
     "ket_from_unit_vec",
     "bloch_vec_of",
     "paulion",
-    "paulion_exp",
-    "rotation_su2",
 ]
-
-X_HAT = np.array([1.0, 0.0, 0.0])
-Y_HAT = np.array([0.0, 1.0, 0.0])
-Z_HAT = np.array([0.0, 0.0, 1.0])
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 
 # below this, sin(theta) leaves the azimuth undefined and we fix phi = 0
 _POLE_EPS = 1e-14
@@ -48,13 +36,6 @@ def unit_vec(v) -> np.ndarray:
     if n < 1e-300:
         raise ValueError("cannot normalize a zero vector")
     return v / n
-
-
-def polar_unit_vec(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Unit vector at polar angle theta from +z and azimuth phi from +x."""
-    st = math.sin(theta)
-    # + 0.0 turns the -0.0 of a product with a zero factor into +0.0
-    return np.array([st * math.cos(phi) + 0.0, st * math.sin(phi) + 0.0, math.cos(theta)])
 
 
 def rotate(r, axis, xi: float) -> np.ndarray:
@@ -93,12 +74,3 @@ def paulion(axis) -> np.ndarray:
     x, y, z = np.asarray(axis, dtype=float)
     return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
-
-def paulion_exp(axis, theta: float) -> np.ndarray:
-    """e^{i theta sigma_a} = cos(theta) I + i sin(theta) sigma_a."""
-    return math.cos(theta) * ID2 + 1.0j * math.sin(theta) * paulion(axis)
-
-
-def rotation_su2(axis, xi: float) -> np.ndarray:
-    """SU(2) element e^{-i (xi/2) sigma_a} whose conjugation action is rotate(., a, xi)."""
-    return paulion_exp(axis, -0.5 * xi)

@@ -34,6 +34,11 @@ from .search_sim import run_afga_search
 __all__ = ["main", "UsageError"]
 
 
+_NEVER_MOVES = (
+    "the first step is below half an ulp of the start angle, so the start never moves"
+)
+
+
 class UsageError(Exception):
     """Bad command line or unwritable output; mapped to exit code 1."""
 
@@ -78,10 +83,7 @@ def _params(args: argparse.Namespace) -> AfgaParams:
     p = AfgaParams(_gamma(args), _del_lam(args), args.num_steps)
     frozen = p.gamma - dbar_gamma(p.gamma, p.gamma, p.del_lam) == p.gamma
     if frozen and 0.0 < p.gamma and 0.0 < p.del_lam < math.pi:
-        raise UsageError(
-            f"--gamma-degs {args.gamma_degs!r}: the first step is below half an ulp of "
-            "the start angle, so the start never moves"
-        )
+        raise UsageError(f"--gamma-degs {args.gamma_degs!r}: {_NEVER_MOVES}")
     return p
 
 
@@ -140,12 +142,11 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
-    trace = integrate_continuum(
-        _gamma(args),
-        _del_lam(args),
-        args.t_max,
-        step_size=args.step_size,
-    )
+    gamma, del_lam = _gamma(args), _del_lam(args)
+    trace = integrate_continuum(gamma, del_lam, args.t_max, step_size=args.step_size)
+    # one sample is the fixed point only where the start slope -dbar_gamma is 0
+    if len(trace.t) == 1 and dbar_gamma(gamma, gamma, del_lam) != 0.0:
+        raise UsageError(f"--gamma-degs {args.gamma_degs!r}: {_NEVER_MOVES}")
     if args.out is not None:
         _write(args.out, continuum_csv(trace))
     if args.fit_rate:

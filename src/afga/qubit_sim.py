@@ -20,10 +20,10 @@ from typing import Iterable
 
 import numpy as np
 
-# bloch_vec_of and paulion are unused here but stay importable: the
-# benchmark tracer patches them
-from .bloch import bloch_vec_of, ket_from_unit_vec, paulion, polar_unit_vec  # noqa: F401
-from .schedule import AfgaParams, iter_angles
+# all but AfgaParams and iter_angles are unused here but stay importable:
+# the benchmark tracer patches them
+from .bloch import bloch_vec_of, ket_from_unit_vec, paulion  # noqa: F401
+from .schedule import AfgaParams, iter_angles, polar_unit_vec  # noqa: F401
 
 __all__ = ["ErrTrace", "run_afga_qubit", "run_grover_qubit"]
 
@@ -46,8 +46,7 @@ class ErrTrace:
 def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:
     """Start at angle gamma; per alpha, apply the target phase del_lam, then
     the s'-phase alpha: a += (e^{i alpha} - 1) <s'|a> |s'>."""
-    # the start ket lies in the xz-plane, so its amplitudes are real
-    s0, s1 = ket_from_unit_vec(polar_unit_vec(gamma)).real.tolist()
+    s0, s1 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
     target_factor = cmath.exp(1.0j * del_lam)
     a0, a1 = complex(s0), complex(s1)
     p0, p1 = s0 * s0, s1 * s1

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 # rotate is unused here but stays importable: the benchmark tracer patches it
-from .bloch import polar_unit_vec, rotate  # noqa: F401
+from .bloch import rotate  # noqa: F401
 
 __all__ = [
     "MAX_SCHEDULE_STEPS",
@@ -28,6 +28,7 @@ __all__ = [
     "arc_rj_sprime",
     "dbar_gamma",
     "alpha",
+    "polar_unit_vec",
     "iter_angles",
     "build_schedule",
     "steps_to_tolerance",
@@ -56,8 +57,10 @@ class AfgaParams:
             raise ValueError(f"gamma must lie in [0, pi], got {self.gamma}")
         if not 0.0 <= self.del_lam <= math.pi:
             raise ValueError(f"del_lam must lie in [0, pi], got {self.del_lam}")
-        if self.num_steps < 0:
-            raise ValueError(f"num_steps must be >= 0, got {self.num_steps}")
+        if not 0 <= self.num_steps <= MAX_SCHEDULE_STEPS:
+            raise ValueError(
+                f"num_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {self.num_steps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,13 @@ def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
     if s * s + c * c < _ALPHA_DEGENERACY_EPS:
         return 0.0
     return atan2(s, c)
+
+
+def polar_unit_vec(theta: float, phi: float = 0.0) -> np.ndarray:
+    """Unit vector at polar angle theta from +z and azimuth phi from +x."""
+    st = sin(theta)
+    # + 0.0 turns the -0.0 of a product with a zero factor into +0.0
+    return np.array([st * cos(phi) + 0.0, st * sin(phi) + 0.0, cos(theta)])
 
 
 def iter_angles(gamma: float, del_lam: float) -> Iterator[tuple[float, float, float]]:

@@ -9,16 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from afga.bloch import (
-    ID2,
-    SIGMA_Z,
-    Y_HAT,
-    Z_HAT,
-    paulion,
-    paulion_exp,
-    polar_unit_vec,
-    rotate,
-)
+from afga.bloch import SIGMA_Z, paulion, rotate
+from afga.schedule import polar_unit_vec
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_AFGA = DATA_DIR / "golden_afga.txt"
@@ -117,11 +109,25 @@ def two_amplitude_success(
     return np.array(success)
 
 
-# Bloch-vector helpers and the 2x2 operator forms of the qubit step: the
-# matrix reference that the two-amplitude runs of afga.qubit_sim are
-# checked against.
+# Bloch-vector helpers, the SU(2) exponentials and the 2x2 operator forms
+# of the qubit step: the matrix reference that the two-amplitude runs of
+# afga.qubit_sim are checked against.
 
+X_HAT = np.array([1.0, 0.0, 0.0])
+Y_HAT = np.array([0.0, 1.0, 0.0])
+Z_HAT = np.array([0.0, 0.0, 1.0])
+ID2 = np.eye(2, dtype=complex)
 KET_0 = np.array([1.0, 0.0], dtype=complex)
+
+
+def paulion_exp(axis, theta: float) -> np.ndarray:
+    """e^{i theta sigma_a} = cos(theta) I + i sin(theta) sigma_a."""
+    return math.cos(theta) * ID2 + 1.0j * math.sin(theta) * paulion(axis)
+
+
+def rotation_su2(axis, xi: float) -> np.ndarray:
+    """SU(2) element e^{-i (xi/2) sigma_a} whose conjugation action is rotate(., a, xi)."""
+    return paulion_exp(axis, -0.5 * xi)
 
 
 def reflect(r, axis) -> np.ndarray:

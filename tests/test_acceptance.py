@@ -12,7 +12,7 @@ from afga.asymptotics import (
     saturation_analysis,
     verify_saturation,
 )
-from afga.bloch import paulion, rotate, rotation_su2
+from afga.bloch import paulion, rotate
 from afga.cli import main
 from afga.formats import parse_afga_txt
 from afga.qubit_sim import run_afga_qubit, run_grover_qubit
@@ -23,7 +23,7 @@ from afga.search_sim import (
     init_uniform,
     run_afga_search,
 )
-from helpers import GOLDEN_AFGA, assert_tables_match, random_unit_vectors
+from helpers import GOLDEN_AFGA, assert_tables_match, random_unit_vectors, rotation_su2
 
 RNG = np.random.default_rng(20260814)
 

@@ -62,6 +62,19 @@ def test_saturation_validation():
             saturation_analysis(bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_saturation_refuses_non_finite_angles(bad):
+    with pytest.raises(ValueError, match=r"\(90, 180\) degrees"):
+        saturation_analysis(bad)
+
+
+def test_verify_saturation_refuses_runs_past_the_step_cap(monkeypatch):
+    monkeypatch.setattr(afga.asymptotics, "build_schedule", lambda params: pytest.fail())
+    # j_sat = 8,999,999 would keep 9,000,012 rows
+    with pytest.raises(ValueError, match="j_sat = 8999999 runs past the 1000000-step cap"):
+        verify_saturation("179.99999")
+
+
 def test_verify_saturation_examples():
     for gamma in (160, 164, 166):
         assert verify_saturation(gamma) < 1e-9

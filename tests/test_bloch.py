@@ -9,23 +9,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from afga.bloch import (
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    X_HAT,
-    Y_HAT,
-    Z_HAT,
     bloch_vec_of,
     ket_from_unit_vec,
     paulion,
-    paulion_exp,
-    polar_unit_vec,
     rotate,
-    rotation_su2,
     unit_vec,
 )
-from helpers import overlap_sq, random_unit_vectors, reflect
+from afga.schedule import polar_unit_vec
+from helpers import (
+    ID2,
+    X_HAT,
+    Y_HAT,
+    Z_HAT,
+    overlap_sq,
+    paulion_exp,
+    random_unit_vectors,
+    reflect,
+    rotation_su2,
+)
 
 RNG = np.random.default_rng(20260814)
 

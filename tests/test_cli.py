@@ -321,6 +321,57 @@ def test_saturation_n_tail_below_1_exits_1(capsys, n_tail):
     assert "n_tail" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--del-lam-degs", "90", "--step-size", "1e-20"],
+        ["--del-lam-degs", "90", "--step-size", "1e-20", "--fit-rate"],
+        ["--del-lam-degs", "1e-13"],
+    ],
+    ids=["tiny-step", "tiny-step-fit", "tiny-del-lam"],
+)
+def test_continuum_start_that_never_moves_exits_1(capsys, argv):
+    assert main(["continuum", "--gamma-degs", "90"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below half an ulp" in captured.err and "never moves" in captured.err
+
+
+def test_continuum_small_del_lam_runs(capsys):
+    argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "1e-9", "--t-max", "1"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--gamma-degs", "90", "--del-lam-degs", "90", "--num-steps", "1000001"],
+        ["qubit", "--gamma-degs", "90", "--del-lam-degs", "90", "--num-steps", "1000001"],
+        ["grover", "--gamma-degs", "90", "--num-steps", "1000001"],
+        ["saturation", "--gamma-degs", "179.99999", "--check-tail"],
+        ["saturation", "--gamma-degs", "179.99999999", "--check-tail"],
+    ],
+    ids=["schedule", "qubit", "grover", "saturation", "saturation-far"],
+)
+def test_runs_past_the_step_cap_exit_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1000000" in captured.err
+    if argv[0] == "saturation":
+        # the user passed no step count: the message names the landing step
+        assert "j_sat" in captured.err and "num_steps" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+def test_saturation_non_finite_angle_exits_1(capsys, value):
+    assert main(["saturation", f"--gamma-degs={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(90, 180) degrees" in captured.err
+
+
 def test_convergence_errors_exit_2(capsys):
     # default max_steps derivation diverges in the del_lam = pi trap
     rc = main(["search", "--nb", "4", "--del-lam-degs", "180"])

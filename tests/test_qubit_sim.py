@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from afga.bloch import ID2, bloch_vec_of, ket_from_unit_vec, paulion_exp, polar_unit_vec
+from afga.bloch import bloch_vec_of, ket_from_unit_vec
 from afga.qubit_sim import run_afga_qubit, run_grover_qubit
-from afga.schedule import AfgaParams, build_schedule, iter_angles
+from afga.schedule import AfgaParams, build_schedule, iter_angles, polar_unit_vec
 from helpers import (
+    ID2,
     KET_0,
     check_g_factorization,
     grover_operator,
+    paulion_exp,
     phase_op,
     random_unit_vectors,
     step_operator,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afga.bloch import Y_HAT, Z_HAT, polar_unit_vec, rotate
+from afga.bloch import rotate
 from afga.schedule import (
+    MAX_SCHEDULE_STEPS,
     AfgaParams,
     ConvergenceError,
     alpha,
@@ -17,9 +18,10 @@ from afga.schedule import (
     build_schedule,
     dbar_gamma,
     iter_angles,
+    polar_unit_vec,
     steps_to_tolerance,
 )
-from helpers import alpha_from_vectors, arc_from_vectors, search_gamma
+from helpers import Y_HAT, Z_HAT, alpha_from_vectors, arc_from_vectors, search_gamma
 
 RNG = np.random.default_rng(20260814)
 
@@ -33,6 +35,12 @@ def test_params_validation():
         AfgaParams(1.0, math.pi + 0.1, 5)
     with pytest.raises(ValueError):
         AfgaParams(1.0, 1.0, -1)
+
+
+def test_params_cap_num_steps():
+    assert AfgaParams(1.0, 1.0, MAX_SCHEDULE_STEPS).num_steps == MAX_SCHEDULE_STEPS
+    with pytest.raises(ValueError, match=f"0, {MAX_SCHEDULE_STEPS}]"):
+        AfgaParams(1.0, 1.0, MAX_SCHEDULE_STEPS + 1)
 
 
 @pytest.mark.parametrize("gamma, del_lam", [(1.0, 4.0), (1.0, -0.5), (4.0, 1.0)])
