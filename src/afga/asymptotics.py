@@ -19,10 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, arc_rj_sprime, build_schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SaturationReport",
@@ -120,6 +122,7 @@ class ContinuumTrace:
 
     def at(self, t) -> np.ndarray | float:
         """g at arbitrary times by linear interpolation of the samples."""
+        import numpy as np
         return np.interp(t, self.t, self.g)
 
 
@@ -145,6 +148,7 @@ def integrate_continuum(
     at 0.  The trace ends early at g = 0 or at the first step that returns
     g itself, since each later step would repeat that one.
     """
+    import numpy as np
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
     if not 0.0 <= del_lam <= math.pi:
@@ -198,6 +202,7 @@ def fit_tail_rate(trace: ContinuumTrace) -> float:
     For del_lam in (0, pi) the fitted rate approaches 1 - cos(del_lam)
     independent of gamma.
     """
+    import numpy as np
     g_min, g_max = _TAIL_WINDOW
     mask = (trace.g > g_min) & (trace.g < g_max)
     if int(mask.sum()) < 2:

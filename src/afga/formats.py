@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .asymptotics import ContinuumTrace
-from .qubit_sim import ErrTrace
 from .schedule import AfgaParams, ScheduleRow
-from .search_sim import SearchTrace
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .asymptotics import ContinuumTrace
+    from .qubit_sim import ErrTrace
+    from .search_sim import SearchTrace
 
 __all__ = [
     "AFGA_COLUMNS",
@@ -91,6 +94,7 @@ class AfgaTable:
 
 def parse_afga_txt(text: str) -> AfgaTable:
     """Parse a fixed-format table back into header values and a float array."""
+    import numpy as np
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 4:
         raise ValueError("truncated table: need 3 header lines and a label line")
@@ -119,10 +123,7 @@ def schedule_csv(rows: list[ScheduleRow]) -> str:
 
 def err_trace_csv(trace: ErrTrace) -> str:
     """CSV of miss probability and z-component per step."""
-    return _csv(
-        "j,err,s_fin_z",
-        ((j, e, z) for j, (e, z) in enumerate(zip(trace.err, trace.s_fin_z))),
-    )
+    return _csv("j,err,s_fin_z", ((j, e, z) for j, (e, z) in enumerate(trace)))
 
 
 def search_csv(trace: SearchTrace) -> str:

@@ -15,32 +15,48 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+# polar_unit_vec and the afga.bloch names served below are unused here but
+# stay importable: the benchmark tracer patches them
+from .schedule import AfgaParams, _lazy_getattr, iter_angles, polar_unit_vec  # noqa: F401
 
-# all but AfgaParams and iter_angles are unused here but stay importable:
-# the benchmark tracer patches them
-from .bloch import bloch_vec_of, ket_from_unit_vec, paulion  # noqa: F401
-from .schedule import AfgaParams, iter_angles, polar_unit_vec  # noqa: F401
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ErrTrace", "run_afga_qubit", "run_grover_qubit"]
+__getattr__ = _lazy_getattr(__name__, "bloch", ("ket_from_unit_vec", "bloch_vec_of", "paulion"))
 
 
-@dataclass(frozen=True)
 class ErrTrace:
-    """Per-step miss probabilities err[k] and z-components s_fin_z[k]."""
+    """Per-step miss probabilities err[k] and z-components s_fin_z[k].
 
-    err: np.ndarray
-    s_fin_z: np.ndarray
+    Iterating yields the (err[k], s_fin_z[k]) pairs as stored; err and
+    s_fin_z build numpy arrays on each access, which a CSV never needs.
+    """
+
+    def __init__(self, err: Sequence[float], s_fin_z: Sequence[float]) -> None:
+        self._err, self._z = err, s_fin_z
+
+    @property
+    def err(self) -> np.ndarray:
+        import numpy as np
+        return np.asarray(self._err)
+
+    @property
+    def s_fin_z(self) -> np.ndarray:
+        import numpy as np
+        return np.asarray(self._z)
 
     @property
     def final_err(self) -> float:
-        return float(self.err[-1])
+        return float(self._err[-1])
 
     def __len__(self) -> int:
-        return len(self.err)
+        return len(self._err)
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self._err, self._z)
 
 
 def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:
@@ -59,7 +75,7 @@ def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:
         p0, p1 = abs(a0) ** 2, abs(a1) ** 2
         errs.append(p1)
         zs.append(p0 - p1)
-    return ErrTrace(np.array(errs), np.array(zs))
+    return ErrTrace(errs, zs)
 
 
 def run_afga_qubit(params: AfgaParams) -> ErrTrace:

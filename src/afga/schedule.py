@@ -10,15 +10,11 @@ del_lam in (0, pi).
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from math import asin, atan2, cos, sin, sqrt
 from typing import Iterator
-
-import numpy as np
-
-# rotate is unused here but stays importable: the benchmark tracer patches it
-from .bloch import rotate  # noqa: F401
 
 __all__ = [
     "MAX_SCHEDULE_STEPS",
@@ -38,6 +34,21 @@ MAX_SCHEDULE_STEPS = 10**6
 
 # sin^2 of the arc from r_j to the start axis below which any phase works
 _ALPHA_DEGENERACY_EPS = 1e-24
+
+
+def _lazy_getattr(module: str, source: str, names: tuple[str, ...]):
+    """A PEP 562 module __getattr__ that imports afga.<source> on first lookup of names."""
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f"afga.{source}"), name)
+
+    return __getattr__
+
+
+# unused here but importable: the benchmark tracer patches it
+__getattr__ = _lazy_getattr(__name__, "bloch", ("rotate",))
 
 
 class ConvergenceError(RuntimeError):
@@ -76,8 +87,8 @@ class ScheduleRow:
     gamma_j: float
     dbar_gamma_j: float
     alpha_j: float
-    r_j: np.ndarray
-    s_j: np.ndarray
+    r_j: tuple[float, float, float]
+    s_j: tuple[float, float, float]
 
 
 def arc_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
@@ -121,11 +132,11 @@ def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
     return atan2(s, c)
 
 
-def polar_unit_vec(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Unit vector at polar angle theta from +z and azimuth phi from +x."""
+def polar_unit_vec(theta: float, phi: float = 0.0) -> tuple[float, float, float]:
+    """Unit vector (x, y, z) at polar angle theta from +z and azimuth phi from +x."""
     st = sin(theta)
     # + 0.0 turns the -0.0 of a product with a zero factor into +0.0
-    return np.array([st * cos(phi) + 0.0, st * sin(phi) + 0.0, cos(theta)])
+    return (st * cos(phi) + 0.0, st * sin(phi) + 0.0, cos(theta))
 
 
 def iter_angles(gamma: float, del_lam: float) -> Iterator[tuple[float, float, float]]:

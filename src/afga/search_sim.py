@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import iter_angles, steps_to_tolerance
+from .schedule import MAX_SCHEDULE_STEPS, iter_angles, steps_to_tolerance
 
 __all__ = [
     "MAX_NB",
@@ -41,7 +41,7 @@ class SearchState:
     @property
     def gamma(self) -> float:
         """Angle between the uniform start state and the target, in radians."""
-        return 2.0 * math.acos(2.0 ** (-0.5 * self.nb))
+        return _start_angle(self.nb, self.target_index)
 
     @property
     def success_probability(self) -> float:
@@ -66,14 +66,18 @@ class SearchTrace:
         return float(self.success[-1])
 
 
-def init_uniform(nb: int, target_index: int = 0) -> SearchState:
-    """Uniform superposition over 2^nb states with the given marked index."""
+def _start_angle(nb: int, target_index: int) -> float:
+    """gamma = 2 arccos(2^{-nb/2}); raises on nb or target_index out of range."""
     if not 1 <= nb <= MAX_NB:
         raise ValueError(f"nb must lie in [1, {MAX_NB}], got {nb}")
     if not 0 <= target_index < 2**nb:
-        raise ValueError(
-            f"target_index must lie in [0, {2**nb - 1}], got {target_index}"
-        )
+        raise ValueError(f"target_index must lie in [0, {2**nb - 1}], got {target_index}")
+    return 2.0 * math.acos(2.0 ** (-0.5 * nb))
+
+
+def init_uniform(nb: int, target_index: int = 0) -> SearchState:
+    """Uniform superposition over 2^nb states with the given marked index."""
+    _start_angle(nb, target_index)  # raises on nb or target_index out of range
     amps = np.full(2**nb, 2.0 ** (-0.5 * nb), dtype=complex)
     return SearchState(nb, amps, target_index)
 
@@ -116,19 +120,20 @@ def run_afga_search(
     tell a stalled run from invalid input, which raises ValueError).  The
     default max_steps is ten times the step count predicted by the scalar
     recursion, which raises ConvergenceError where it cycles (del_lam = 0
-    or pi); pass max_steps explicitly to study the trapped case.
+    or pi); pass max_steps, at most MAX_SCHEDULE_STEPS, to study the
+    trapped case.  Every check runs before the 2^nb vector is allocated.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not 0.0 <= del_lam <= math.pi:
         raise ValueError(f"del_lam must lie in [0, pi], got {del_lam}")
-    state = init_uniform(nb, target_index)
-    gamma = state.gamma
+    gamma = _start_angle(nb, target_index)
     if max_steps is None:
         gamma_tol = 2.0 * math.asin(math.sqrt(tol))
         max_steps = 10 * max(steps_to_tolerance(gamma, del_lam, gamma_tol), 1)
-    elif max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    elif not 0 <= max_steps <= MAX_SCHEDULE_STEPS:
+        raise ValueError(f"max_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {max_steps}")
+    state = init_uniform(nb, target_index)
 
     success = [state.success_probability]
     angles = iter_angles(gamma, del_lam)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterable
 
@@ -14,9 +17,25 @@ from afga.schedule import polar_unit_vec
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_AFGA = DATA_DIR / "golden_afga.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # fields printed as 0.0000e+00 or drowned in roundoff on either side
 ZERO_FLOOR = 1e-12
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports afga from this checkout;
+    a run past 60 s fails the test instead of hanging it."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def printed_ulp(v: float) -> float:

@@ -84,3 +84,24 @@ def test_no_module_reads_a_name_from_bloch():
         from_bloch = {name for name, source in _imports(tree).items() if source == ".bloch"}
         called = sorted(from_bloch & _read_names(tree))
         assert not called, f"{module_name} calls {called} from afga.bloch"
+
+
+def test_bloch_shim_serves_only_patch_targets():
+    # a module __getattr__ serves afga.bloch names only while the tracer
+    # patches them there; once the patches go, the shim must go too
+    patched = {(module_name, attr) for module_name, attr, *_ in _patches()}
+    bloch = importlib.import_module("afga.bloch")
+    served = set()
+    for module_name, _ in _modules():
+        module = importlib.import_module(module_name.removesuffix(".__init__"))
+        getter = getattr(module, "__getattr__", None)
+        if getter is None:
+            continue
+        for name in bloch.__all__:
+            try:
+                value = getter(name)
+            except AttributeError:
+                continue
+            assert value is getattr(bloch, name), f"{module_name}.{name}"
+            served.add((module_name, name))
+    assert served <= patched, sorted(served - patched)

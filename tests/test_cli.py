@@ -12,7 +12,7 @@ import pytest
 from afga.cli import main
 from afga.formats import parse_afga_txt
 from afga.schedule import dbar_gamma
-from helpers import GOLDEN_AFGA, assert_tables_match
+from helpers import GOLDEN_AFGA, assert_tables_match, run_python
 
 GOLDEN_ARGS = [
     "schedule",
@@ -392,3 +392,20 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "j_sat = 4"
+
+
+def test_search_max_steps_past_the_cap_exits_1_at_once():
+    # without the cap this run would take a billion steps, in a subprocess
+    # whose timeout turns that hang into a failure
+    proc = run_python(
+        "import time\n"
+        "from afga.cli import main\n"
+        "start = time.perf_counter()\n"
+        "rc = main(['search', '--nb', '4', '--del-lam-degs', '180', "
+        "'--max-steps', '1000000000'])\n"
+        "print(rc, time.perf_counter() - start)\n"
+    )
+    rc, elapsed = proc.stdout.split()
+    assert rc == "1"
+    assert float(elapsed) < 1.0
+    assert "max_steps must lie in [0, 1000000]" in proc.stderr

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from afga.qubit_sim import run_afga_qubit
-from afga.schedule import AfgaParams, iter_angles, steps_to_tolerance
+from afga.schedule import (
+    MAX_SCHEDULE_STEPS,
+    AfgaParams,
+    ConvergenceError,
+    iter_angles,
+    steps_to_tolerance,
+)
 from afga.search_sim import (
     SearchState,
     apply_sprime_phase,
@@ -234,3 +240,22 @@ def test_search_holds_one_vector():
         tracemalloc.stop()
     assert trace.steps == 20
     assert peak - start < 1.5 * vector_bytes
+
+
+def test_search_refuses_max_steps_past_the_cap():
+    with pytest.raises(ValueError, match="max_steps"):
+        run_afga_search(4, del_lam=math.pi, max_steps=MAX_SCHEDULE_STEPS + 1)
+    assert run_afga_search(4, del_lam=math.pi, max_steps=60).steps == 60
+
+
+def test_search_refuses_a_cycling_run_before_allocating():
+    # at del_lam = 0 the step prediction cycles; the 256 MiB vector of
+    # nb = 24 must not be allocated first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="cycles with period 1"):
+            run_afga_search(24, del_lam=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
