@@ -26,16 +26,17 @@ from .schedule import (
     dbar_gamma,
     iter_angles,
     steps_to_tolerance,
-    _lazy_getattr,
+)
+from .search_sim import (
+    SearchState,
+    SearchTrace,
+    apply_sprime_phase,
+    apply_target_phase,
+    init_uniform,
+    run_afga_search,
 )
 
 __version__ = "0.1.0"
-
-# search_sim loads numpy, so its names are imported on first access
-__getattr__ = _lazy_getattr(__name__, "search_sim", (
-    "SearchState", "SearchTrace", "apply_sprime_phase", "apply_target_phase",
-    "init_uniform", "run_afga_search",
-))
 
 __all__ = [
     "AfgaParams",

@@ -16,12 +16,15 @@ tail of the flow decays like e^{-(1 - cos del_lam) t} for every start angle.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import pi
 from typing import TYPE_CHECKING
 
-from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, arc_rj_sprime, build_schedule
+# build_schedule is unused here but importable: the benchmark tracer patches it
+from .schedule import MAX_SCHEDULE_STEPS, arc_rj_sprime, build_schedule, iter_angles  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,18 +92,15 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     report = saturation_analysis(gamma_degs)
     gamma = math.radians(float(Fraction(gamma_degs)))
     # an even margin past the exact landing j_sat keeps the tail's parity
-    num_steps = 2 * (report.j_sat // 2 + 2) + n_tail
-    if num_steps > MAX_SCHEDULE_STEPS:
-        raise ValueError(f"j_sat = {report.j_sat} runs past the {MAX_SCHEDULE_STEPS}-step cap")
-    rows = build_schedule(AfgaParams(gamma, math.pi, num_steps))
-    tail = [row.gamma_j for row in rows[-n_tail:]]
+    landing = 2 * (report.j_sat // 2 + 2)
+    if landing + n_tail > MAX_SCHEDULE_STEPS:
+        culprit = f"j_sat = {report.j_sat}" if landing > MAX_SCHEDULE_STEPS else f"{n_tail = }"
+        raise ValueError(f"{culprit} runs past the {MAX_SCHEDULE_STEPS}-step cap")
+    angles = islice(iter_angles(gamma, pi), landing + n_tail + 1)
+    tail = [gamma_j for gamma_j, _, _ in deque(angles, maxlen=n_tail)]
     big = report.big_gamma
-    if big > 1e-9:
-        for prev, cur in zip(tail, tail[1:]):
-            if not prev * cur < 0.0:
-                raise ArithmeticError(
-                    f"tail failed to alternate at gamma = {gamma_degs} degrees"
-                )
+    if big > 1e-9 and not all(prev * cur < 0.0 for prev, cur in zip(tail, tail[1:])):
+        raise ArithmeticError(f"tail failed to alternate at gamma = {gamma_degs} degrees")
     return max(abs(abs(gamma_j) - big) for gamma_j in tail)
 
 

@@ -29,6 +29,7 @@ from .formats import (
 )
 from .qubit_sim import run_afga_qubit, run_grover_qubit
 from .schedule import AfgaParams, ConvergenceError, build_schedule, dbar_gamma
+from .search_sim import run_afga_search
 
 __all__ = ["main", "UsageError"]
 
@@ -107,7 +108,6 @@ def _cmd_grover(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .search_sim import run_afga_search  # loads numpy, which no other command needs
     trace = run_afga_search(
         args.nb,
         target_index=args.target_index,

@@ -12,10 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .schedule import MAX_SCHEDULE_STEPS, iter_angles, steps_to_tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_NB",
@@ -78,6 +80,7 @@ def _start_angle(nb: int, target_index: int) -> float:
 def init_uniform(nb: int, target_index: int = 0) -> SearchState:
     """Uniform superposition over 2^nb states with the given marked index."""
     _start_angle(nb, target_index)  # raises on nb or target_index out of range
+    import numpy as np
     amps = np.full(2**nb, 2.0 ** (-0.5 * nb), dtype=complex)
     return SearchState(nb, amps, target_index)
 
@@ -145,4 +148,5 @@ def run_afga_search(
         _sprime_phase_inplace(state.amps, cmath.exp(1.0j * alpha_j))
         success.append(state.success_probability)
         converged = success[-1] >= 1.0 - tol
+    import numpy as np
     return SearchTrace(np.array(success), converged, gamma, del_lam)

@@ -1,6 +1,7 @@
 """Saturation at del_lam = pi and the continuum decay flow."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from afga.asymptotics import (
     saturation_analysis,
     verify_saturation,
 )
-from afga.schedule import build_schedule, dbar_gamma, iter_angles
+from afga.schedule import AfgaParams, build_schedule, dbar_gamma, iter_angles
 from helpers import max_initial_slope
 
 RNG = np.random.default_rng(20260814)
@@ -69,10 +70,13 @@ def test_saturation_refuses_non_finite_angles(bad):
 
 
 def test_verify_saturation_refuses_runs_past_the_step_cap(monkeypatch):
-    monkeypatch.setattr(afga.asymptotics, "build_schedule", lambda params: pytest.fail())
-    # j_sat = 8,999,999 would keep 9,000,012 rows
+    monkeypatch.setattr(afga.asymptotics, "iter_angles", lambda *args: pytest.fail())
+    # j_sat = 8,999,999 would take 9,000,012 steps
     with pytest.raises(ValueError, match="j_sat = 8999999 runs past the 1000000-step cap"):
         verify_saturation("179.99999")
+    # j_sat = 5 lands in 8 steps, so a tail of 999,993 more is one past the cap
+    with pytest.raises(ValueError, match="n_tail = 999993 runs past the 1000000-step cap"):
+        verify_saturation(164, n_tail=999_993)
 
 
 def test_verify_saturation_examples():
@@ -95,18 +99,48 @@ def test_verify_saturation_random():
 @pytest.mark.parametrize("n_tail", [1, 2, 10])
 @pytest.mark.parametrize("gamma_degs", [160, 164, 166, 179.9])
 def test_verify_saturation_stops_past_the_landing(monkeypatch, gamma_degs, n_tail):
-    built = []
+    drawn = []
 
-    def recording_build(params):
-        rows = build_schedule(params)
-        built.append(len(rows))
-        return rows
+    def counting_angles(gamma, del_lam):
+        drawn.append(0)
+        for angles in iter_angles(gamma, del_lam):
+            drawn[-1] += 1
+            yield angles
 
-    monkeypatch.setattr(afga.asymptotics, "build_schedule", recording_build)
+    monkeypatch.setattr(afga.asymptotics, "iter_angles", counting_angles)
     assert verify_saturation(gamma_degs, n_tail) < 1e-9
-    # the start row, then at most 4 steps past the landing and the tail
-    assert built == [built[0]]
-    assert built[0] <= 1 + saturation_analysis(gamma_degs).j_sat + 4 + n_tail
+    # the start angle, then at most 4 steps past the landing and the tail
+    assert len(drawn) == 1
+    assert drawn[0] <= 1 + saturation_analysis(gamma_degs).j_sat + 4 + n_tail
+
+
+def _row_tail_dev(gamma_degs, n_tail: int = 10) -> float:
+    """verify_saturation's residual read off built ScheduleRows: the reference."""
+    report = saturation_analysis(gamma_degs)
+    gamma = math.radians(float(Fraction(gamma_degs)))
+    num_steps = 2 * (report.j_sat // 2 + 2) + n_tail
+    rows = build_schedule(AfgaParams(gamma, math.pi, num_steps))
+    return max(abs(abs(row.gamma_j) - report.big_gamma) for row in rows[-n_tail:])
+
+
+@pytest.mark.parametrize("n_tail", [1, 10])
+def test_verify_saturation_equals_the_row_tail(n_tail):
+    rng = np.random.default_rng(20261018)
+    random_degs = [Fraction(int(k), 1000) for k in rng.integers(90_001, 179_990, size=50)]
+    for gamma_degs in [160, 164, 166, 179.9, 179.999] + random_degs:
+        assert verify_saturation(gamma_degs, n_tail) == _row_tail_dev(gamma_degs, n_tail)
+
+
+def test_verify_saturation_holds_only_the_tail():
+    # 90,003 steps; a run that kept its rows peaked at 44 MiB
+    verify_saturation(160)  # warm the imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert verify_saturation(179.999) < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_mu_examples():

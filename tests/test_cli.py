@@ -364,6 +364,15 @@ def test_runs_past_the_step_cap_exit_1(capsys, argv):
         assert "j_sat" in captured.err and "num_steps" not in captured.err
 
 
+def test_saturation_tail_past_the_cap_names_n_tail(capsys):
+    # j_sat = 5 lands in 8 steps: the requested tail alone overruns the cap
+    argv = ["saturation", "--gamma-degs", "164", "--check-tail", "--n-tail", "2000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_tail = 2000000 runs past the 1000000-step cap\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
 def test_saturation_non_finite_angle_exits_1(capsys, value):
     assert main(["saturation", f"--gamma-degs={value}"]) == 1

@@ -1,5 +1,6 @@
 """Recursion checks for the adaptive phase schedule."""
 
+import itertools
 import math
 import re
 
@@ -233,6 +234,25 @@ def test_tail_alternates_and_shrinks():
     for prev, cur in zip(tail, tail[1:]):
         assert prev * cur < 0.0
         assert abs(cur) < abs(prev)
+
+
+def test_tail_contracts_by_cos_del_lam():
+    # near gamma_j = 0 the step is the linear map gamma_{j+1} = cos(del_lam) gamma_j
+    checked = 0
+    for gamma_degs in (30.0, 90.0, 150.0, 169.15, 179.0):
+        for del_lam_degs in (20.0, 45.0, 60.0, 90.0, 120.0, 135.0, 160.0):
+            gamma, del_lam = math.radians(gamma_degs), math.radians(del_lam_degs)
+            n = steps_to_tolerance(gamma, del_lam, tol=1e-8)
+            seq = [g for g, _, _ in itertools.islice(iter_angles(gamma, del_lam), n + 1)]
+            for prev, cur in zip(seq, seq[1:]):
+                if not 1e-8 < abs(prev) < 1e-5:
+                    continue
+                checked += 1
+                assert abs(cur / prev - math.cos(del_lam)) < 1e-3, (gamma_degs, del_lam_degs)
+                if del_lam_degs != 90.0:
+                    # the sign flips every step past 90 degrees, never below
+                    assert (prev * cur < 0.0) == (del_lam_degs > 90.0), (gamma_degs, del_lam_degs)
+    assert checked > 1000
 
 
 def test_gamma_zero_is_fixed_point():

@@ -1,10 +1,12 @@
-"""Start-up: only the commands that hold arrays (search, continuum) load numpy."""
+"""Start-up: numpy loads only where arrays are built (a search's amplitudes,
+a continuum trace); afga.bloch alone imports it at module level."""
 
+import ast
 import json
 
 import afga
 from afga import search_sim
-from helpers import run_python
+from helpers import SRC, run_python
 
 SCALAR_COMMANDS = [
     ["schedule", "--gamma-degs", "173.15", "--del-lam-degs", "135", "--num-steps", "20"],
@@ -13,8 +15,11 @@ SCALAR_COMMANDS = [
     ["grover", "--gamma-degs", "160", "--num-steps", "20"],
     ["saturation", "--gamma-degs", "164", "--check-tail"],
 ]
+# the del_lam = 180 trap: refused (exit 2) before the amplitudes are allocated
+REFUSED_SEARCH = ["search", "--nb", "6", "--del-lam-degs", "180"]
 
-# argv: "block" or "allow", then the commands as JSON; prints [exit code, stdout] each
+# argv: "block" or "allow", then the commands as JSON; prints
+# [exit code, stdout, stderr] for each
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
@@ -22,10 +27,10 @@ if sys.argv[1] == "block":
 from afga.cli import main
 results = []
 for argv in json.loads(sys.argv[2]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results))
 """
 
@@ -36,16 +41,47 @@ def test_import_cli_loads_no_numpy():
 
 
 def test_scalar_commands_run_with_numpy_blocked():
-    commands = json.dumps(SCALAR_COMMANDS)
-    blocked = json.loads(run_python(_RUN_COMMANDS, "block", commands).stdout)
-    allowed = json.loads(run_python(_RUN_COMMANDS, "allow", commands).stdout)
-    for argv, (code, out), want in zip(SCALAR_COMMANDS, blocked, allowed):
-        assert code == 0, argv
-        assert out, argv
-        assert [code, out] == want, argv
+    commands = SCALAR_COMMANDS + [REFUSED_SEARCH]
+    blocked = json.loads(run_python(_RUN_COMMANDS, "block", json.dumps(commands)).stdout)
+    allowed = json.loads(run_python(_RUN_COMMANDS, "allow", json.dumps(commands)).stdout)
+    assert len(blocked) == len(allowed) == len(commands)
+    for argv, (code, out, err), want in zip(commands, blocked, allowed):
+        if argv is REFUSED_SEARCH:
+            assert code == 2 and out == "" and "cycles" in err, argv
+        else:
+            assert code == 0 and out and err == "", argv
+        assert [code, out, err] == want, argv
 
 
-def test_search_names_resolve_lazily():
+def _eager_imports(nodes):
+    """Modules imported while a module loads: outside functions and
+    `if TYPE_CHECKING:` blocks."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            yield from _eager_imports(node.orelse)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        else:
+            yield from _eager_imports(ast.iter_child_nodes(node))
+
+
+def test_only_bloch_imports_numpy_at_module_level():
+    eager = {
+        path.stem
+        for path in (SRC / "afga").glob("*.py")
+        if any(
+            name.split(".")[0] == "numpy"
+            for name in _eager_imports(ast.parse(path.read_text()).body)
+        )
+    }
+    assert eager == {"bloch"}
+
+
+def test_search_names_resolve_on_afga():
     for name in search_sim.__all__:
         if name != "MAX_NB":
             assert getattr(afga, name) is getattr(search_sim, name)
