@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
-from math import pi
-from typing import TYPE_CHECKING
+from itertools import compress, pairwise
+from math import fsum, log, pi
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 # build_schedule is unused here but importable: the benchmark tracer patches it
-from .schedule import MAX_SCHEDULE_STEPS, arc_rj_sprime, build_schedule, iter_angles  # noqa: F401
+from .schedule import MAX_SCHEDULE_STEPS, arc_rj_sprime, build_schedule, dbar_gamma  # noqa: F401
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -45,8 +46,7 @@ _DOMAIN_EPS = 1e-12
 _TAIL_WINDOW = (1e-8, 1e-2)  # g_min < g < g_max for the tail-rate fit
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     """Where uniform stepping at del_lam = pi lands, exact in degrees.
 
     The decrement is the constant del_gamma = 2(180 - gamma) degrees;
@@ -71,6 +71,7 @@ def saturation_analysis(gamma_degs) -> SaturationReport:
     Accepts int, float, str or Fraction; the arithmetic is exact rational,
     so boundary cases such as gamma_jsat = 0 come out exactly zero.
     """
+    from fractions import Fraction
     if gamma_degs in (math.inf, -math.inf) or not 90 < (g := Fraction(gamma_degs)) < 180:
         raise ValueError(f"gamma must lie in (90, 180) degrees, got {gamma_degs}")
     del_gamma = 2 * (180 - g)
@@ -87,6 +88,7 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     radians; also checks that the tail alternates in sign whenever
     big_gamma is away from zero.
     """
+    from fractions import Fraction
     if n_tail < 1:
         raise ValueError(f"n_tail must be >= 1, got {n_tail}")
     report = saturation_analysis(gamma_degs)
@@ -96,10 +98,12 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     if landing + n_tail > MAX_SCHEDULE_STEPS:
         culprit = f"j_sat = {report.j_sat}" if landing > MAX_SCHEDULE_STEPS else f"{n_tail = }"
         raise ValueError(f"{culprit} runs past the {MAX_SCHEDULE_STEPS}-step cap")
-    angles = islice(iter_angles(gamma, pi), landing + n_tail + 1)
-    tail = [gamma_j for gamma_j, _, _ in deque(angles, maxlen=n_tail)]
+    tail, gamma_j = deque([gamma], maxlen=n_tail), gamma
+    for _ in range(landing + n_tail):
+        gamma_j -= dbar_gamma(gamma, gamma_j, pi)
+        tail.append(gamma_j)
     big = report.big_gamma
-    if big > 1e-9 and not all(prev * cur < 0.0 for prev, cur in zip(tail, tail[1:])):
+    if big > 1e-9 and not all(prev * cur < 0.0 for prev, cur in pairwise(tail)):
         raise ArithmeticError(f"tail failed to alternate at gamma = {gamma_degs} degrees")
     return max(abs(abs(gamma_j) - big) for gamma_j in tail)
 
@@ -113,12 +117,11 @@ def mu_of_g(g: float, gamma: float, del_lam: float) -> float:
     return arc_rj_sprime(gamma, g, del_lam)
 
 
-@dataclass(frozen=True)
-class ContinuumTrace:
+class ContinuumTrace(NamedTuple):
     """Accepted integration samples of the continuum flow g(t)."""
 
-    t: np.ndarray
-    g: np.ndarray
+    t: list[float]
+    g: list[float]
 
     def at(self, t) -> np.ndarray | float:
         """g at arbitrary times by linear interpolation of the samples."""
@@ -148,7 +151,6 @@ def integrate_continuum(
     at 0.  The trace ends early at g = 0 or at the first step that returns
     g itself, since each later step would repeat that one.
     """
-    import numpy as np
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
     if not 0.0 <= del_lam <= math.pi:
@@ -192,23 +194,20 @@ def integrate_continuum(
         t, g = t + h, g_next
         ts.append(t)
         gs.append(g)
-    return ContinuumTrace(np.array(ts), np.array(gs))
+    return ContinuumTrace(ts, gs)
 
 
 def fit_tail_rate(trace: ContinuumTrace) -> float:
-    """Exponential decay rate of the trace tail, from a straight-line fit
-    of log g(t) over the window 1e-8 < g < 1e-2.
-
-    For del_lam in (0, pi) the fitted rate approaches 1 - cos(del_lam)
-    independent of gamma.
+    """Exponential decay rate of the trace tail: minus the slope of the
+    least-squares line through log g(t) over the window 1e-8 < g < 1e-2,
+    summed about the window's means by math.fsum.  For del_lam in (0, pi)
+    the fitted rate approaches 1 - cos(del_lam) independent of gamma.
     """
-    import numpy as np
     g_min, g_max = _TAIL_WINDOW
-    mask = (trace.g > g_min) & (trace.g < g_max)
-    if int(mask.sum()) < 2:
-        raise ValueError(
-            "tail window holds fewer than 2 samples; integrate to larger t_max"
-        )
-    slope = np.polyfit(trace.t[mask], np.log(trace.g[mask]), 1)[0]
-    return float(-slope)
-
+    inside = [g_min < g < g_max for g in trace.g]
+    ts, ys = list(compress(trace.t, inside)), list(map(log, compress(trace.g, inside)))
+    if len(ts) < 2:
+        raise ValueError("tail window holds fewer than 2 samples; integrate to larger t_max")
+    t_mean, y_mean = fsum(ts) / len(ts), fsum(ys) / len(ys)
+    dts, dys = [t - t_mean for t in ts], [y - y_mean for y in ys]
+    return -fsum(map(mul, dts, dys)) / fsum(map(mul, dts, dts))

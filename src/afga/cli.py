@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .asymptotics import (
     fit_tail_rate,
@@ -30,6 +30,9 @@ from .formats import (
 from .qubit_sim import run_afga_qubit, run_grover_qubit
 from .schedule import AfgaParams, ConvergenceError, build_schedule, dbar_gamma
 from .search_sim import run_afga_search
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["main", "UsageError"]
 

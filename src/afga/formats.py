@@ -10,8 +10,7 @@ repr and exist for downstream plotting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .schedule import AfgaParams, ScheduleRow
 
@@ -82,8 +81,7 @@ def emit_afga_txt(rows: list[ScheduleRow], params: AfgaParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AfgaTable:
+class AfgaTable(NamedTuple):
     """Parsed form of the fixed-format table; data has one row per step."""
 
     gamma_degs: float

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass
 from math import asin, atan2, cos, sin, sqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "MAX_SCHEDULE_STEPS",
@@ -55,27 +54,30 @@ class ConvergenceError(RuntimeError):
     """An iteration failed to reach its tolerance within its step cap."""
 
 
-@dataclass(frozen=True)
-class AfgaParams:
-    """Inputs of a schedule run: angles in radians, both within [0, pi]."""
-
+class _AfgaFields(NamedTuple):
     gamma: float
     del_lam: float
     num_steps: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= math.pi:
-            raise ValueError(f"gamma must lie in [0, pi], got {self.gamma}")
-        if not 0.0 <= self.del_lam <= math.pi:
-            raise ValueError(f"del_lam must lie in [0, pi], got {self.del_lam}")
-        if not 0 <= self.num_steps <= MAX_SCHEDULE_STEPS:
-            raise ValueError(
-                f"num_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {self.num_steps}"
-            )
+
+class AfgaParams(_AfgaFields):
+    """Inputs of a schedule run: angles in radians, both within [0, pi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, del_lam: float, num_steps: int) -> AfgaParams:
+        if not 0.0 <= gamma <= math.pi:
+            raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+        if not 0.0 <= del_lam <= math.pi:
+            raise ValueError(f"del_lam must lie in [0, pi], got {del_lam}")
+        if not 0 <= num_steps <= MAX_SCHEDULE_STEPS:
+            raise ValueError(f"num_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {num_steps}")
+        return super().__new__(cls, gamma, del_lam, num_steps)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class ScheduleRow:
+class ScheduleRow(NamedTuple):
     """State of the recursion at step j.
 
     s_j is the Bloch vector before step j and r_j the same vector after the

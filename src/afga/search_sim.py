@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .schedule import MAX_SCHEDULE_STEPS, iter_angles, steps_to_tolerance
 
@@ -32,8 +31,7 @@ __all__ = [
 MAX_NB = 24
 
 
-@dataclass(frozen=True)
-class SearchState:
+class SearchState(NamedTuple):
     """Amplitude vector over 2^nb basis states with a marked target index."""
 
     nb: int
@@ -50,8 +48,7 @@ class SearchState:
         return float(abs(self.amps[self.target_index]) ** 2)
 
 
-@dataclass(frozen=True)
-class SearchTrace:
+class SearchTrace(NamedTuple):
     """success[k] after k adaptive steps, plus whether the tol was reached."""
 
     success: np.ndarray

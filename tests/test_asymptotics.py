@@ -70,7 +70,7 @@ def test_saturation_refuses_non_finite_angles(bad):
 
 
 def test_verify_saturation_refuses_runs_past_the_step_cap(monkeypatch):
-    monkeypatch.setattr(afga.asymptotics, "iter_angles", lambda *args: pytest.fail())
+    monkeypatch.setattr(afga.asymptotics, "dbar_gamma", lambda *args: pytest.fail())
     # j_sat = 8,999,999 would take 9,000,012 steps
     with pytest.raises(ValueError, match="j_sat = 8999999 runs past the 1000000-step cap"):
         verify_saturation("179.99999")
@@ -99,19 +99,17 @@ def test_verify_saturation_random():
 @pytest.mark.parametrize("n_tail", [1, 2, 10])
 @pytest.mark.parametrize("gamma_degs", [160, 164, 166, 179.9])
 def test_verify_saturation_stops_past_the_landing(monkeypatch, gamma_degs, n_tail):
-    drawn = []
+    steps = 0
 
-    def counting_angles(gamma, del_lam):
-        drawn.append(0)
-        for angles in iter_angles(gamma, del_lam):
-            drawn[-1] += 1
-            yield angles
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return dbar_gamma(*args)
 
-    monkeypatch.setattr(afga.asymptotics, "iter_angles", counting_angles)
+    monkeypatch.setattr(afga.asymptotics, "dbar_gamma", counting_step)
     assert verify_saturation(gamma_degs, n_tail) < 1e-9
-    # the start angle, then at most 4 steps past the landing and the tail
-    assert len(drawn) == 1
-    assert drawn[0] <= 1 + saturation_analysis(gamma_degs).j_sat + 4 + n_tail
+    # at most 4 steps past the landing, then the tail
+    assert 0 < steps <= saturation_analysis(gamma_degs).j_sat + 4 + n_tail
 
 
 def _row_tail_dev(gamma_degs, n_tail: int = 10) -> float:
@@ -409,3 +407,31 @@ def test_fit_rate_window_needs_samples():
     trace = integrate_continuum(math.pi / 2, math.pi / 2, 0.5)
     with pytest.raises(ValueError):
         fit_tail_rate(trace)
+
+
+def _exact_slope(trace) -> Fraction:
+    """Least-squares slope of log g(t) over the fit window, in exact rationals."""
+    window = [(Fraction(t), Fraction(math.log(g))) for t, g in zip(trace.t, trace.g)
+              if 1e-8 < g < 1e-2]
+    t_mean = sum(t for t, _ in window) / len(window)
+    y_mean = sum(y for _, y in window) / len(window)
+    return sum((t - t_mean) * (y - y_mean) for t, y in window) / sum(
+        (t - t_mean) ** 2 for t, _ in window
+    )
+
+
+# the README trace, then five flows whose t_max covers the transit and the
+# window's ln(1e6) = 13.8 units of rate * t
+@pytest.mark.parametrize(
+    "gamma_degs, del_lam_degs, t_max",
+    [(90, 90, 80), (100, 45, 70), (117.5, 67.5, 34), (135, 90, 22), (152.5, 112.5, 18),
+     (170, 135, 22)],
+)
+def test_fit_rate_is_the_exact_least_squares_slope(gamma_degs, del_lam_degs, t_max):
+    trace = integrate_continuum(math.radians(gamma_degs), math.radians(del_lam_degs), t_max)
+    rate = fit_tail_rate(trace)
+    exact = -float(_exact_slope(trace))
+    assert abs(rate - exact) <= 2 * math.ulp(exact)
+    t, g = np.array(trace.t), np.array(trace.g)
+    window = (g > 1e-8) & (g < 1e-2)
+    assert rate == pytest.approx(-np.polyfit(t[window], np.log(g[window]), 1)[0], rel=1e-13)

@@ -1,5 +1,6 @@
-"""Start-up: numpy loads only where arrays are built (a search's amplitudes,
-a continuum trace); afga.bloch alone imports it at module level."""
+"""Start-up: a CLI process imports only what it runs.  numpy loads only
+where a search allocates its amplitudes, afga.bloch alone imports it at
+module level, and fractions loads only for a saturation analysis."""
 
 import ast
 import json
@@ -14,6 +15,9 @@ SCALAR_COMMANDS = [
     ["qubit", "--gamma-degs", "169.15", "--del-lam-degs", "135", "--num-steps", "20"],
     ["grover", "--gamma-degs", "160", "--num-steps", "20"],
     ["saturation", "--gamma-degs", "164", "--check-tail"],
+    ["continuum", "--gamma-degs", "90", "--del-lam-degs", "90", "--t-max", "80", "--fit-rate"],
+    # no --fit-rate: the trace CSV goes to stdout
+    ["continuum", "--gamma-degs", "90", "--del-lam-degs", "90", "--t-max", "80"],
 ]
 # the del_lam = 180 trap: refused (exit 2) before the amplitudes are allocated
 REFUSED_SEARCH = ["search", "--nb", "6", "--del-lam-degs", "180"]
@@ -38,6 +42,13 @@ print(json.dumps(results))
 def test_import_cli_loads_no_numpy():
     proc = run_python("import sys, afga.cli; print('numpy' in sys.modules)")
     assert proc.stdout == "False\n"
+
+
+def test_import_cli_loads_no_dataclasses_or_fractions():
+    # dataclasses pulls in inspect, ast and dis; the records are NamedTuples
+    heavy = ["dataclasses", "inspect", "fractions"]
+    proc = run_python(f"import sys, afga.cli; print([m for m in {heavy} if m in sys.modules])")
+    assert proc.stdout == "[]\n"
 
 
 def test_scalar_commands_run_with_numpy_blocked():
