@@ -43,13 +43,7 @@ AFGA_COLUMNS = (
     "vs_y",
     "vs_z",
 )
-
-
-def _sci(v: float) -> str:
-    """%.4e with -0.0 flushed to +0.0 so emitted tables are sign-stable."""
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.4e}"
+_TXT_ROW = "%d" + "\t%.4e" * (len(AFGA_COLUMNS) - 1)
 
 
 def _row_values(row: ScheduleRow) -> list[float]:
@@ -57,27 +51,26 @@ def _row_values(row: ScheduleRow) -> list[float]:
     return [math.degrees(row.gamma_j), math.degrees(row.alpha_j), *row.r_j, *row.s_j]
 
 
-def _csv(header: str, rows) -> str:
-    """Header line plus one line per row; ints via str, floats at full precision."""
-    lines = [header]
-    lines.extend(
-        ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
-        for row in rows
-    )
-    return "\n".join(lines) + "\n"
+def _floats(values) -> str:
+    """Comma-joined floats at full precision; numpy floats print as plain floats."""
+    return ",".join(map(repr, map(float, values)))
+
+
+def _csv(header: str, lines) -> str:
+    """Header line plus the given lines, each ended by a newline."""
+    return "\n".join([header, *lines]) + "\n"
 
 
 def emit_afga_txt(rows: list[ScheduleRow], params: AfgaParams) -> str:
     """Render a schedule as the tab-separated fixed-format table."""
+    # v + 0.0 flushes -0.0 to +0.0, so emitted tables are sign-stable
     lines = [
-        f"gamma(degs) = {_sci(math.degrees(params.gamma))}",
-        f"del_lam(degs) = {_sci(math.degrees(params.del_lam))}",
+        "gamma(degs) = %.4e" % (math.degrees(params.gamma) + 0.0),
+        "del_lam(degs) = %.4e" % (math.degrees(params.del_lam) + 0.0),
         f"num_steps = {params.num_steps}",
         "\t".join(AFGA_COLUMNS),
     ]
-    lines.extend(
-        "\t".join([str(row.j)] + [_sci(v) for v in _row_values(row)]) for row in rows
-    )
+    lines.extend(_TXT_ROW % (row.j, *[v + 0.0 for v in _row_values(row)]) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -115,20 +108,20 @@ def schedule_csv(rows: list[ScheduleRow]) -> str:
     """Full-precision CSV of a schedule, angles in degrees."""
     return _csv(
         "j,gam_j_degs,alp_j_degs,vr_x,vr_y,vr_z,vs_x,vs_y,vs_z",
-        ([row.j, *_row_values(row)] for row in rows),
+        (f"{row.j},{_floats(_row_values(row))}" for row in rows),
     )
 
 
 def err_trace_csv(trace: ErrTrace) -> str:
     """CSV of miss probability and z-component per step."""
-    return _csv("j,err,s_fin_z", ((j, e, z) for j, (e, z) in enumerate(trace)))
+    return _csv("j,err,s_fin_z", (f"{j},{_floats(ez)}" for j, ez in enumerate(trace)))
 
 
 def search_csv(trace: SearchTrace) -> str:
     """CSV of success probability per step."""
-    return _csv("j,success", enumerate(trace.success))
+    return _csv("j,success", (f"{j},{float(s)!r}" for j, s in enumerate(trace.success)))
 
 
 def continuum_csv(trace: ContinuumTrace) -> str:
     """CSV of the accepted integration samples."""
-    return _csv("t,g", zip(trace.t, trace.g))
+    return _csv("t,g", map(_floats, zip(trace.t, trace.g)))

@@ -403,6 +403,14 @@ def test_console_script_installed():
     assert proc.stdout.splitlines()[0] == "j_sat = 4"
 
 
+def test_search_tol_below_the_floor_exits_1(capsys):
+    # 1 - 1e-15 lies below the rounding floor of the amplitudes: refused, not run
+    assert main(["search", "--nb", "6", "--del-lam-degs", "90", "--tol", "1e-15"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must lie in [1e-10, 1)" in captured.err
+
+
 def test_search_max_steps_past_the_cap_exits_1_at_once():
     # without the cap this run would take a billion steps, in a subprocess
     # whose timeout turns that hang into a failure

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afga.asymptotics import ContinuumTrace, integrate_continuum
 from afga.formats import (
     AFGA_COLUMNS,
+    _row_values,
     continuum_csv,
     emit_afga_txt,
     err_trace_csv,
@@ -158,3 +161,44 @@ def test_continuum_csv():
     assert continuum_csv(pinned) == (
         "t,g\n0.0,0.1\n1.0,0.3333333333333333\n2.5,-0.0\n"
     )
+
+
+def _sci(v: float) -> str:
+    """%.4e with -0.0 flushed to +0.0: the table's format applied one value at a time."""
+    if v == 0.0:
+        v = 0.0
+    return f"{v:.4e}"
+
+
+# +-0.0, subnormals and values near the float limits, as Python or numpy floats
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300)
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGES))
+_VALUES = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_ROWS = st.builds(
+    ScheduleRow,
+    st.integers(0, 10**6),
+    _VALUES,
+    _VALUES,
+    _VALUES,
+    st.tuples(_VALUES, _VALUES, _VALUES),
+    st.tuples(_VALUES, _VALUES, _VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROWS, max_size=5))
+def test_txt_row_format_equals_per_value_route(rows):
+    params = AfgaParams(1.0, 1.0, len(rows))
+    per_value = ["\t".join([str(row.j)] + [_sci(v) for v in _row_values(row)]) for row in rows]
+    assert emit_afga_txt(rows, params).splitlines()[4:] == per_value
+
+
+_ANGLES = st.one_of(st.floats(0.0, math.pi), st.sampled_from((-0.0, 5e-324)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ANGLES, _ANGLES.map(np.float64)), _ANGLES)
+def test_txt_header_format_equals_per_value_route(gamma, del_lam):
+    lines = emit_afga_txt([], AfgaParams(gamma, del_lam, 0)).splitlines()
+    assert lines[0] == f"gamma(degs) = {_sci(math.degrees(gamma))}"
+    assert lines[1] == f"del_lam(degs) = {_sci(math.degrees(del_lam))}"

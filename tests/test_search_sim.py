@@ -1,5 +1,6 @@
 """Rank-1 search simulation over 2^nb basis states."""
 
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -16,7 +17,9 @@ from afga.schedule import (
     steps_to_tolerance,
 )
 from afga.search_sim import (
+    TOL_FLOOR,
     SearchState,
+    _sprime_phase_inplace,
     apply_sprime_phase,
     apply_target_phase,
     init_uniform,
@@ -202,6 +205,47 @@ def test_search_trace_equals_wrapper_loop_bitwise(del_lam_degs):
             assert np.array_equal(trace.success, replay), (nb, target)
 
 
+@pytest.mark.parametrize("nb", range(1, 19))
+def test_sprime_kernel_equals_mean_update_bitwise(nb):
+    # the kernel divides the sum by 2^nb; amps.mean() does the same division
+    uniform = init_uniform(nb).amps
+    for amps in (uniform, _random_state(nb).amps):
+        for phase in (0.3, -2.1, math.pi):
+            factor = cmath.exp(1.0j * phase)
+            want = amps + (factor - 1.0) * amps.mean()
+            got = amps.copy()
+            _sprime_phase_inplace(got, factor)
+            assert got.tobytes() == want.tobytes(), (nb, phase)
+
+
+def _mean_update_search(nb, target, del_lam, max_steps, tol):
+    """The search loop written with amps.mean() and SearchState reads."""
+    state = init_uniform(nb, target)
+    amps = state.amps
+    success = [state.success_probability]
+    angles = iter_angles(state.gamma, del_lam)
+    target_factor = cmath.exp(1.0j * del_lam)
+    converged = success[-1] >= 1.0 - tol
+    while not converged and len(success) <= max_steps:
+        _, _, alpha_j = next(angles)
+        amps[target] *= target_factor
+        amps += (cmath.exp(1.0j * alpha_j) - 1.0) * amps.mean()
+        success.append(state.success_probability)
+        converged = success[-1] >= 1.0 - tol
+    return success, converged
+
+
+@pytest.mark.parametrize("del_lam_degs", (45.0, 90.0, 135.0, 179.0))
+def test_search_trace_equals_mean_update_loop_bitwise(del_lam_degs):
+    del_lam = math.radians(del_lam_degs)
+    for nb in range(1, 15):
+        for target in sorted({0, 2**nb // 3, 2**nb - 1}):
+            trace = run_afga_search(nb, target, del_lam, max_steps=400, tol=1e-9)
+            success, converged = _mean_update_search(nb, target, del_lam, 400, 1e-9)
+            assert trace.success.tobytes() == np.array(success).tobytes(), (nb, target)
+            assert trace.converged == converged
+
+
 def _oracle_success(nb: int, del_lam: float, tol: float, steps: int | None = None):
     alphas = (alpha_j for _, _, alpha_j in iter_angles(search_gamma(nb), del_lam))
     return two_amplitude_success(nb, del_lam, itertools.islice(alphas, steps), tol)
@@ -259,3 +303,24 @@ def test_search_refuses_a_cycling_run_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_search_refuses_a_tol_below_the_floor_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="tol must lie in"):
+            run_afga_search(24, del_lam=math.radians(90.0), tol=1e-15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="tol must lie in"):
+        run_afga_search(3, tol=TOL_FLOOR * (1.0 - 2.0**-52))
+
+
+def test_search_reaches_the_tol_floor():
+    for nb in (1, 6, 12):
+        for del_lam_degs in (10.0, 45.0, 90.0, 135.0, 170.0):
+            del_lam = math.radians(del_lam_degs)
+            trace = run_afga_search(nb, 2**nb - 1, del_lam, tol=TOL_FLOOR)
+            assert trace.converged, (nb, del_lam_degs)
