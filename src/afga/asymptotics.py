@@ -72,7 +72,11 @@ def saturation_analysis(gamma_degs) -> SaturationReport:
     so boundary cases such as gamma_jsat = 0 come out exactly zero.
     """
     from fractions import Fraction
-    if gamma_degs in (math.inf, -math.inf) or not 90 < (g := Fraction(gamma_degs)) < 180:
+    try:
+        g = Fraction(gamma_degs)
+    except (ValueError, OverflowError):  # nan and inf, as floats or strings
+        g = None
+    if g is None or not 90 < g < 180:
         raise ValueError(f"gamma must lie in (90, 180) degrees, got {gamma_degs}")
     del_gamma = 2 * (180 - g)
     j_sat = g // del_gamma

@@ -114,7 +114,8 @@ def schedule_csv(rows: list[ScheduleRow]) -> str:
 
 def err_trace_csv(trace: ErrTrace) -> str:
     """CSV of miss probability and z-component per step."""
-    return _csv("j,err,s_fin_z", (f"{j},{_floats(ez)}" for j, ez in enumerate(trace)))
+    pairs = zip(trace.err, trace.s_fin_z)
+    return _csv("j,err,s_fin_z", (f"{j},{_floats(ez)}" for j, ez in enumerate(pairs)))
 
 
 def search_csv(trace: SearchTrace) -> str:

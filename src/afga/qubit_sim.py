@@ -15,48 +15,37 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable
 
 # polar_unit_vec and the afga.bloch names served below are unused here but
 # stay importable: the benchmark tracer patches them
 from .schedule import AfgaParams, _lazy_getattr, iter_angles, polar_unit_vec  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["ErrTrace", "run_afga_qubit", "run_grover_qubit"]
 __getattr__ = _lazy_getattr(__name__, "bloch", ("ket_from_unit_vec", "bloch_vec_of", "paulion"))
 
 
 class ErrTrace:
-    """Per-step miss probabilities err[k] and z-components s_fin_z[k].
+    """Per-step miss probabilities err[k] and z-components s_fin_z[k], the
+    float lists the run built; len() is the step count plus one."""
 
-    Iterating yields the (err[k], s_fin_z[k]) pairs as stored; err and
-    s_fin_z build numpy arrays on each access, which a CSV never needs.
-    """
-
-    def __init__(self, err: Sequence[float], s_fin_z: Sequence[float]) -> None:
+    def __init__(self, err: list[float], s_fin_z: list[float]) -> None:
         self._err, self._z = err, s_fin_z
 
     @property
-    def err(self) -> np.ndarray:
-        import numpy as np
-        return np.asarray(self._err)
+    def err(self) -> list[float]:
+        return self._err
 
     @property
-    def s_fin_z(self) -> np.ndarray:
-        import numpy as np
-        return np.asarray(self._z)
+    def s_fin_z(self) -> list[float]:
+        return self._z
 
     @property
     def final_err(self) -> float:
-        return float(self._err[-1])
+        return self._err[-1]
 
     def __len__(self) -> int:
         return len(self._err)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(self._err, self._z)
 
 
 def _run(gamma: float, del_lam: float, alphas: Iterable[float]) -> ErrTrace:

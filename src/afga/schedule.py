@@ -181,8 +181,10 @@ def steps_to_tolerance(
     then periodic, as at del_lam = 0 or pi, or for tol below the floor.
     """
     AfgaParams(gamma, del_lam, 0)  # raises on angles outside [0, pi]
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     gamma_j, mark, mark_j = gamma, gamma, 0
     for j in range(max_steps + 1):
         if abs(gamma_j) < tol:

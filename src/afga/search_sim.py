@@ -57,7 +57,7 @@ class SearchState(NamedTuple):
 class SearchTrace(NamedTuple):
     """success[k] after k adaptive steps, plus whether the tol was reached."""
 
-    success: np.ndarray
+    success: list[float]
     converged: bool
     gamma: float
     del_lam: float
@@ -68,7 +68,7 @@ class SearchTrace(NamedTuple):
 
     @property
     def final_success(self) -> float:
-        return float(self.success[-1])
+        return self.success[-1]
 
 
 def _start_angle(nb: int, target_index: int) -> float:
@@ -159,5 +159,4 @@ def run_afga_search(
         _target_phase_inplace(amps, target_index, target_factor)
         _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j))
         success.append(_success(amps, target_index))
-    import numpy as np
-    return SearchTrace(np.array(success), success[-1] >= goal, gamma, del_lam)
+    return SearchTrace(success, success[-1] >= goal, gamma, del_lam)

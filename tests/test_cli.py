@@ -39,6 +39,27 @@ def test_readme_commands_exit_0(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
+def test_readme_python_api_block_holds(capsys):
+    section = README.read_text().split("## Python API", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    rows, trace, search = namespace["rows"], namespace["trace"], namespace["search"]
+    # angles + Bloch vectors per step: row j holds gamma_j and the unit r_j, s_j
+    assert [row.j for row in rows] == list(range(21))
+    for row in rows:
+        assert math.isfinite(row.gamma_j) and math.isfinite(row.alpha_j)
+        for vec in (row.r_j, row.s_j):
+            assert math.isclose(math.fsum(c * c for c in vec), 1.0, abs_tol=1e-15)
+    # trace.err[k] >= 0, non-increasing
+    assert len(trace) == 21
+    assert all(e >= 0.0 for e in trace.err)
+    assert all(later <= e for e, later in zip(trace.err, trace.err[1:]))
+    # the printed line is the step count and the final success
+    assert capsys.readouterr().out == f"{search.steps} {search.final_success}\n"
+    assert search.converged and search.final_success >= 1.0 - 1e-9
+
+
 def test_schedule_reproduces_golden_file(tmp_path):
     out = tmp_path / "afga.txt"
     assert main(GOLDEN_ARGS + ["--out", str(out)]) == 0
@@ -195,7 +216,7 @@ def test_schedule_near_antipodal_start(capsys):
     assert row_0[2] == "9.5000e+01"
 
 
-# the commands that take --gamma-degs in [0, 180)
+# the commands that take --gamma-degs below 180
 GAMMA_ARGVS = [
     ["schedule", "--del-lam-degs", "90"],
     ["qubit", "--del-lam-degs", "90"],
@@ -210,6 +231,19 @@ def test_antipodal_start_exits_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "antipodal" in captured.err
+
+
+@pytest.mark.parametrize("argv", GAMMA_ARGVS, ids=lambda argv: argv[0])
+def test_start_on_target(capsys, argv):
+    # schedule and qubit take --gamma-degs in [0, 180); grover and continuum
+    # in (0, 180): at 0 there is nothing to amplify and no flow to follow
+    code = main(argv + ["--gamma-degs", "0"])
+    captured = capsys.readouterr()
+    if argv[0] in ("schedule", "qubit"):
+        assert code == 0 and captured.out != "" and captured.err == ""
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: gamma")
 
 
 @pytest.mark.parametrize("argv", GAMMA_ARGVS, ids=lambda argv: argv[0])
@@ -373,7 +407,7 @@ def test_saturation_tail_past_the_cap_names_n_tail(capsys):
     assert captured.err == "error: n_tail = 2000000 runs past the 1000000-step cap\n"
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
 def test_saturation_non_finite_angle_exits_1(capsys, value):
     assert main(["saturation", f"--gamma-degs={value}"]) == 1
     captured = capsys.readouterr()

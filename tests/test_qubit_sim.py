@@ -71,12 +71,14 @@ def test_step_operator_factored_form():
 
 def test_afga_err_equals_z_form():
     trace = run_afga_qubit(GOLDEN)
-    np.testing.assert_allclose(trace.err, 0.5 * (1.0 - trace.s_fin_z), atol=1e-12)
+    np.testing.assert_allclose(trace.err, 0.5 * (1.0 - np.asarray(trace.s_fin_z)), atol=1e-12)
 
 
 def test_afga_golden_run_hits_target():
     trace = run_afga_qubit(GOLDEN)
     assert len(trace) == 21
+    # the trace holds the Python floats the run computed, no numpy scalars
+    assert all(type(v) is float for v in [*trace.err, *trace.s_fin_z, trace.final_err])
     assert trace.err[0] == pytest.approx(math.sin(0.5 * GOLDEN.gamma) ** 2, abs=1e-12)
     assert trace.final_err < 1.2e-6
     landing = build_schedule(GOLDEN)[-1].gamma_j
@@ -113,7 +115,7 @@ def test_err_stays_non_negative_and_monotone():
     rng = np.random.default_rng(20261019)
     for _ in range(200):
         gamma, del_lam = rng.uniform(0.0, math.pi, size=2)
-        err = run_afga_qubit(AfgaParams(gamma, del_lam, 300)).err
+        err = np.asarray(run_afga_qubit(AfgaParams(gamma, del_lam, 300)).err)
         assert err.min() >= 0.0, (gamma, del_lam)
         assert np.diff(err).max() <= 1e-24, (gamma, del_lam)
 
@@ -129,6 +131,8 @@ def test_grover_closed_form():
 
 def test_grover_overshoot_at_160_degrees():
     trace = run_grover_qubit(math.radians(160.0), 20)
+    assert len(trace) == 21
+    assert all(type(v) is float for v in [*trace.err, *trace.s_fin_z, trace.final_err])
     assert trace.err[0] == pytest.approx(math.sin(math.radians(80.0)) ** 2, abs=1e-12)
     assert trace.err[4] < 1e-12
     assert trace.err[5] > trace.err[4]

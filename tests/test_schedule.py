@@ -282,8 +282,14 @@ def test_steps_to_tolerance_raises_in_trap():
     # del_lam = pi stalls at a fixed residual angle
     with pytest.raises(ConvergenceError):
         steps_to_tolerance(math.radians(164.0), math.pi, tol=1e-9, max_steps=5000)
-    with pytest.raises(ValueError):
-        steps_to_tolerance(1.0, 1.0, tol=0.0)
+    # bad input is refused as such, not reported as a run that never converged
+    for bad, message in (
+        ({"tol": 0.0}, "tol must be > 0"),
+        ({"tol": math.nan}, "tol must be > 0, got nan"),
+        ({"max_steps": -1}, "max_steps must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            steps_to_tolerance(1.0, 1.0, **bad)
 
 
 def _plain_steps_to_tolerance(gamma, del_lam, tol, max_steps):

@@ -128,7 +128,7 @@ def test_search_matches_qubit_run():
         trace = run_afga_search(nb, target, del_lam, tol=1e-9)
         params = AfgaParams(trace.gamma, del_lam, trace.steps)
         qubit = run_afga_qubit(params)
-        np.testing.assert_allclose(trace.success, 1.0 - qubit.err, atol=1e-10)
+        np.testing.assert_allclose(trace.success, 1.0 - np.asarray(qubit.err), atol=1e-10)
 
 
 def test_search_step_count_matches_prediction():
@@ -138,6 +138,8 @@ def test_search_step_count_matches_prediction():
     )
     assert trace.converged
     assert trace.steps == predicted
+    # the trace holds the Python floats the run computed, no numpy scalars
+    assert all(type(s) is float for s in [*trace.success, trace.final_success])
 
 
 def test_search_success_is_monotone():
@@ -242,7 +244,7 @@ def test_search_trace_equals_mean_update_loop_bitwise(del_lam_degs):
         for target in sorted({0, 2**nb // 3, 2**nb - 1}):
             trace = run_afga_search(nb, target, del_lam, max_steps=400, tol=1e-9)
             success, converged = _mean_update_search(nb, target, del_lam, 400, 1e-9)
-            assert trace.success.tobytes() == np.array(success).tobytes(), (nb, target)
+            assert np.asarray(trace.success).tobytes() == np.array(success).tobytes(), (nb, target)
             assert trace.converged == converged
 
 

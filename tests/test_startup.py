@@ -1,6 +1,7 @@
 """Start-up: a CLI process imports only what it runs.  numpy loads only
 where a search allocates its amplitudes, afga.bloch alone imports it at
-module level, and fractions loads only for a saturation analysis."""
+module level, reading a qubit trace loads none, and fractions loads only
+for a saturation analysis."""
 
 import ast
 import json
@@ -49,6 +50,20 @@ def test_import_cli_loads_no_dataclasses_or_fractions():
     heavy = ["dataclasses", "inspect", "fractions"]
     proc = run_python(f"import sys, afga.cli; print([m for m in {heavy} if m in sys.modules])")
     assert proc.stdout == "[]\n"
+
+
+def test_qubit_traces_read_with_numpy_blocked():
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # every import of numpy now raises ImportError\n"
+        "from afga import AfgaParams, run_afga_qubit, run_grover_qubit\n"
+        "from afga.formats import err_trace_csv\n"
+        "for trace in (run_afga_qubit(AfgaParams(2.0, 1.5, 20)), run_grover_qubit(2.0, 20)):\n"
+        "    values = [*trace.err, *trace.s_fin_z, trace.final_err]\n"
+        "    lines = err_trace_csv(trace).splitlines()\n"
+        "    print(len(trace), len(values), {type(v).__name__ for v in values}, len(lines))\n"
+    )
+    assert proc.stdout == "21 43 {'float'} 22\n" * 2
 
 
 def test_scalar_commands_run_with_numpy_blocked():
