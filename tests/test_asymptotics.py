@@ -63,7 +63,11 @@ def test_saturation_validation():
             saturation_analysis(bad)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "nan", "inf"])
+@pytest.mark.parametrize(
+    "bad",
+    [math.inf, -math.inf, math.nan, "nan", "inf"],
+    ids=["inf", "-inf", "nan", "str-nan", "str-inf"],
+)
 def test_saturation_refuses_non_finite_angles(bad):
     with pytest.raises(ValueError, match=r"\(90, 180\) degrees"):
         saturation_analysis(bad)
