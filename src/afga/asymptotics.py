@@ -145,15 +145,15 @@ def integrate_continuum(
 ) -> ContinuumTrace:
     """Integrate the continuum flow from g(0) = gamma out to t_max.
 
-    Classical RK4 with step-doubling error control: a step is accepted only
-    if the full-step and two-half-step results agree to within 1e-8, else
-    the step is retried at half size, as is a step whose RK4 stage leaves
-    the flow's domain [0, gamma].  The slope at the start of a step is
-    computed once and serves the sign check, the full step and the first
-    half-step: 11 slope evaluations per accepted step, 10 per retry.  The
-    slope must stay non-positive at every accepted step, and g is clamped
-    at 0.  The trace ends early at g = 0 or at the first step that returns
-    g itself, since each later step would repeat that one.
+    Dormand-Prince 5(4): a trial step keeps its 5th-order value and is
+    accepted only if the embedded 4th-order estimate puts its local error
+    within 1e-8, else it is retried at half size, as is a trial whose stage
+    leaves the flow's domain [0, gamma].  The pair is first same as last:
+    the slope at an accepted value starts the next step, so a trace costs
+    one start slope plus 6 slope evaluations per trial.  The slope must stay
+    non-positive at every accepted step, and g is clamped at 0.  The trace
+    ends early at g = 0 or at the first step that returns g itself, since
+    each later step would repeat that one.
     """
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
@@ -164,38 +164,39 @@ def integrate_continuum(
             f"t_max and step_size must be finite and > 0, got {t_max} and {step_size}"
         )
 
-    def rk4_step(g: float, k1: float, h: float) -> float:
-        """One RK4 step from g, given its slope k1 = _rhs(g)."""
-        k2 = _rhs(g + 0.5 * h * k1, gamma, del_lam)
-        k3 = _rhs(g + 0.5 * h * k2, gamma, del_lam)
-        k4 = _rhs(g + h * k3, gamma, del_lam)
-        return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     ts, gs = [0.0], [gamma]
-    t, g = 0.0, gamma
+    t, g, k1 = 0.0, gamma, _rhs(gamma, gamma, del_lam)
     while t < t_max and g > 0.0:
-        k1 = _rhs(g, gamma, del_lam)
         if k1 > _DOMAIN_EPS:
             raise ArithmeticError(f"positive slope at g = {g}; flow must decay")
         h = min(step_size, t_max - t)
         for _ in range(_MAX_HALVINGS):
-            try:
-                full = rk4_step(g, k1, h)
-                mid = rk4_step(g, k1, 0.5 * h)
-                half = rk4_step(mid, _rhs(mid, gamma, del_lam), 0.5 * h)
-                if abs(half - full) <= _LOCAL_ERR_TOL:
+            try:  # a Dormand-Prince 5(4) trial, each stage summed left to right
+                k2 = _rhs(g + h * (1 / 5 * k1), gamma, del_lam)
+                k3 = _rhs(g + h * (3 / 40 * k1 + 9 / 40 * k2), gamma, del_lam)
+                k4 = _rhs(g + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), gamma, del_lam)
+                k5 = _rhs(g + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                                   - 212 / 729 * k4), gamma, del_lam)
+                k6 = _rhs(g + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                                   + 49 / 176 * k4 - 5103 / 18656 * k5), gamma, del_lam)
+                y = g + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                             - 2187 / 6784 * k5 + 11 / 84 * k6)
+                k7 = _rhs(y, gamma, del_lam)
+                err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                           - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
+                if abs(err) <= _LOCAL_ERR_TOL:
                     break
             except ValueError:
-                pass  # an RK4 stage left [0, gamma], where mu_of_g refuses
+                pass  # a stage left [0, gamma], where mu_of_g refuses
             h *= 0.5
         else:
             raise ArithmeticError(
                 f"step size underflow at t = {t}: local error stayed above {_LOCAL_ERR_TOL}"
             )
-        g_next = max(half, 0.0)
+        g_next = max(y, 0.0)
         if g_next == g:
             break  # a fixed point: each later pass would repeat this one
-        t, g = t + h, g_next
+        t, g, k1 = t + h, g_next, k7
         ts.append(t)
         gs.append(g)
     return ContinuumTrace(ts, gs)

@@ -146,6 +146,9 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     gamma, del_lam = _gamma(args), _del_lam(args)
+    if gamma == 0.0:  # the library refuses gamma = 0 in radians
+        raise UsageError(f"--gamma-degs must lie in (0, 180) degrees, got {args.gamma_degs:g}; "
+                         "at 0 the start is the target, with no flow to follow")
     trace = integrate_continuum(gamma, del_lam, args.t_max, step_size=args.step_size)
     # one sample is the fixed point only where the start slope -dbar_gamma is 0
     if len(trace.t) == 1 and dbar_gamma(gamma, gamma, del_lam) != 0.0:
@@ -159,12 +162,12 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_gamma(p: argparse.ArgumentParser) -> None:
+def _add_gamma(p: argparse.ArgumentParser, domain: str) -> None:
     p.add_argument(
         "--gamma-degs",
         type=float,
         required=True,
-        help="start angle from the target axis, degrees in [0, 180)",
+        help=f"start angle from the target axis, degrees in {domain}",
     )
 
 
@@ -192,7 +195,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="emit the adaptive phase schedule table")
-    _add_gamma(p)
+    _add_gamma(p, "[0, 180)")
     _add_del_lam(p)
     p.add_argument("--num-steps", type=int, default=20, help="rows beyond row 0")
     p.add_argument(
@@ -205,14 +208,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("qubit", help="statevector run of the adaptive schedule")
-    _add_gamma(p)
+    _add_gamma(p, "[0, 180)")
     _add_del_lam(p)
     p.add_argument("--num-steps", type=int, default=20)
     _add_out(p)
     p.set_defaults(func=_cmd_qubit)
 
     p = sub.add_parser("grover", help="statevector run of fixed-step amplification")
-    _add_gamma(p)
+    _add_gamma(p, "(0, 180)")
     p.add_argument("--num-steps", type=int, default=20)
     _add_out(p)
     p.set_defaults(func=_cmd_grover)
@@ -229,7 +232,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "saturation", help="landing point of uniform stepping at del_lam = 180"
     )
-    _add_gamma(p)
+    _add_gamma(p, "(90, 180)")
     p.add_argument(
         "--check-tail",
         action="store_true",
@@ -239,7 +242,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_saturation)
 
     p = sub.add_parser("continuum", help="integrate the continuum decay flow")
-    _add_gamma(p)
+    _add_gamma(p, "(0, 180)")
     _add_del_lam(p)
     p.add_argument("--t-max", type=float, default=60.0, help="finite, > 0")
     p.add_argument("--step-size", type=float, default=0.01, help="finite, > 0")

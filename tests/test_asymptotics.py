@@ -3,6 +3,8 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -188,49 +190,66 @@ def test_mu_domain_validation():
         mu_of_g(-0.1, 1.0, 0.5)
 
 
-def _plain_step_doubling(gamma, del_lam, t_max, step_size):
-    """The step-doubling RK4 loop with every RK4 step computing its own slopes.
+# Dormand-Prince 5(4) as published (Hairer, Norsett and Wanner, Solving ODEs I,
+# sec. II.5): the stage rows a_i1..a_i(i-1) for i = 2..6, the 5th-order weights
+# b, which are also stage 7's row, and the error weights e = b - b_hat
+DP54_A = [
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+]
+DP54_B = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+DP54_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 
-    Returns the accepted samples, the number of passes of the outer loop
-    (the last one may end the trace at a fixed point without a sample) and
-    the number of trial steps, full plus two halves each.
+
+def _reference_dp54(gamma, del_lam, t_max, step_size, a=DP54_A, b=DP54_B, e=DP54_E):
+    """Dormand-Prince 5(4) driven by the tableau lists, under the integrator's
+    step policy, with every trial computing its own start slope.
+
+    Each stage sums its non-zero terms a_ij * k_j from left to right, as the
+    unrolled integrator writes them.  Returns the accepted samples and the
+    number of trial steps.
     """
 
     def rhs(g):
         return gamma - g - mu_of_g(g, gamma, del_lam)
 
-    def rk4(g, h):
-        k1 = rhs(g)
-        k2 = rhs(g + 0.5 * h * k1)
-        k3 = rhs(g + 0.5 * h * k2)
-        k4 = rhs(g + h * k3)
-        return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def weighted(weights, ks):
+        return reduce(add, [w * k for w, k in zip(weights, ks) if w != 0.0])
 
-    ts, gs, passes, trials = [0.0], [gamma], 0, 0
+    ts, gs, trials = [0.0], [gamma], 0
     t, g = 0.0, gamma
     while t < t_max and g > 0.0:
-        passes += 1
         h = min(step_size, t_max - t)
         while True:
             trials += 1
             try:
-                full = rk4(g, h)
-                half = rk4(rk4(g, 0.5 * h), 0.5 * h)
-                if abs(half - full) <= 1e-8:
+                ks = [rhs(g)]
+                for row in a:
+                    ks.append(rhs(g + h * weighted(row, ks)))
+                y = g + h * weighted(b, ks)
+                ks.append(rhs(y))
+                if abs(h * weighted(e, ks)) <= 1e-8:
                     break
             except ValueError:
                 pass  # a stage outside [0, gamma] rejects the trial
             h *= 0.5
-        if max(half, 0.0) == g:
+        if max(y, 0.0) == g:
             break  # a fixed point: the integrator stops here too
         t += h
-        g = max(half, 0.0)
+        g = max(y, 0.0)
         ts.append(t)
         gs.append(g)
-    return np.array(ts), np.array(gs), passes, trials
+    return ts, gs, trials
 
 
-RK4_CASES = [
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+FLOW_CASES = [
     (math.pi / 2, math.pi / 2, 120.0, 0.01),
     (math.radians(169.15), math.radians(135.0), 40.0, 0.01),
     (math.pi, math.pi, 10.0, 0.01),
@@ -238,12 +257,13 @@ RK4_CASES = [
 ]
 
 
-@pytest.mark.parametrize("gamma, del_lam, t_max, step_size", RK4_CASES)
+@pytest.mark.parametrize("gamma, del_lam, t_max, step_size", FLOW_CASES)
 def test_integrate_equals_plain_step_doubling(gamma, del_lam, t_max, step_size):
+    # bitwise equal to the DP5(4) loop driven by the tableau lists
     trace = integrate_continuum(gamma, del_lam, t_max, step_size)
-    ts, gs, _, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
-    np.testing.assert_array_equal(trace.t, ts)
-    np.testing.assert_array_equal(trace.g, gs)
+    ts, gs, _ = _reference_dp54(gamma, del_lam, t_max, step_size)
+    assert _bits(trace.t) == _bits(ts)
+    assert _bits(trace.g) == _bits(gs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,17 +274,17 @@ def test_integrate_equals_plain_step_doubling(gamma, del_lam, t_max, step_size):
     st.floats(0.01, 1.0),
 )
 def test_integrate_equals_plain_step_doubling_anywhere(gamma, del_lam, t_max, step_size):
-    ts, gs, _, _ = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    ts, gs, _ = _reference_dp54(gamma, del_lam, t_max, step_size)
     trace = integrate_continuum(gamma, del_lam, t_max, step_size)
-    np.testing.assert_array_equal(trace.t, ts)
-    np.testing.assert_array_equal(trace.g, gs)
+    assert _bits(trace.t) == _bits(ts)
+    assert _bits(trace.g) == _bits(gs)
 
 
-@pytest.mark.parametrize("gamma, del_lam, t_max, step_size", RK4_CASES)
+@pytest.mark.parametrize("gamma, del_lam, t_max, step_size", FLOW_CASES)
 def test_integrate_shares_the_start_slope(monkeypatch, gamma, del_lam, t_max, step_size):
-    # one start slope per pass, the pass that ends the trace at a fixed
-    # point included; 10 evaluations per trial, since the full step and the
-    # first half-step reuse the start slope
+    # first same as last: one slope at the start of the trace, then 6 per
+    # trial, the last of which (at the trial's 5th-order value) starts the
+    # next step once the trial is accepted
     calls = 0
 
     def counting_mu(*args):
@@ -272,21 +292,39 @@ def test_integrate_shares_the_start_slope(monkeypatch, gamma, del_lam, t_max, st
         calls += 1
         return mu_of_g(*args)
 
-    _, _, passes, trials = _plain_step_doubling(gamma, del_lam, t_max, step_size)
+    _, _, trials = _reference_dp54(gamma, del_lam, t_max, step_size)
     monkeypatch.setattr(afga.asymptotics, "mu_of_g", counting_mu)
     integrate_continuum(gamma, del_lam, t_max, step_size)
-    assert calls == passes + 10 * trials
+    assert calls == 1 + 6 * trials
 
 
 def test_trace_ends_at_the_fixed_point():
-    # at 90/90 degrees the flow reaches g = 1.7e-16 near t = 37, where a step
+    # at 90/90 degrees the flow reaches g = 1.6e-16 near t = 37, where a step
     # returns g itself; a longer t_max adds nothing
     trace = integrate_continuum(math.pi / 2, math.pi / 2, 80.0)
     longer = integrate_continuum(math.pi / 2, math.pi / 2, 400.0)
     np.testing.assert_array_equal(longer.t, trace.t)
     np.testing.assert_array_equal(longer.g, trace.g)
-    assert len(trace.t) == 3656 and trace.t[-1] < 40.0
+    assert len(trace.t) == 3657 and trace.t[-1] < 40.0
     assert 0.0 < trace.g[-1] < 1e-15
+
+
+@pytest.mark.parametrize(
+    "gamma_degs, del_lam_degs, t_max",
+    [(90.0, 90.0, 80.0), (169.15, 135.0, 40.0), (120.0, 30.0, 200.0)],
+)
+def test_integrate_within_2e_12_of_dop853(gamma_degs, del_lam_degs, t_max):
+    # a step-doubling RK4 at the same local tolerance misses this bound at 90/90 (3.1e-12)
+    gamma, del_lam = math.radians(gamma_degs), math.radians(del_lam_degs)
+    trace = integrate_continuum(gamma, del_lam, t_max)
+
+    def rhs(_t, y):
+        return [gamma - y[0] - mu_of_g(min(max(y[0], 0.0), gamma), gamma, del_lam)]
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, t_max), [gamma], method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True
+    )
+    assert np.max(np.abs(np.array(trace.g) - sol.sol(trace.t)[0])) <= 2e-12
 
 
 def test_integrate_basic_shape():

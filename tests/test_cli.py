@@ -241,9 +241,28 @@ def test_start_on_target(capsys, argv):
     captured = capsys.readouterr()
     if argv[0] in ("schedule", "qubit"):
         assert code == 0 and captured.out != "" and captured.err == ""
-    else:
+    elif argv[0] == "grover":
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: gamma")
+    else:
+        # the CLI answers in degrees before the library refuses gamma = 0 rad
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(
+            "error: --gamma-degs must lie in (0, 180) degrees, got 0; at 0 the start is the target"
+        )
+
+
+@pytest.mark.parametrize(
+    "command, domain",
+    [("schedule", "[0, 180)"), ("qubit", "[0, 180)"), ("grover", "(0, 180)"),
+     ("saturation", "(90, 180)"), ("continuum", "(0, 180)")],
+)
+def test_gamma_help_states_the_command_domain(capsys, command, domain):
+    assert main([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+    assert f"--gamma-degs GAMMA_DEGS start angle from the target axis, degrees in {domain} " in (
+        help_text
+    )
 
 
 @pytest.mark.parametrize("argv", GAMMA_ARGVS, ids=lambda argv: argv[0])
@@ -325,7 +344,7 @@ def test_continuum_non_finite_time_exits_1(capsys, flag, value):
         ["--gamma-degs", "120", "--del-lam-degs", "0", "--t-max", "1"],
         ["--gamma-degs", "10", "--del-lam-degs", "0", "--t-max", "1"]
         + ["--step-size", "0.3"],
-        # an RK4 stage of the unit step lands below g = 0: the step is halved
+        # a DP5(4) stage of the unit step lands below g = 0: the step is halved
         ["--gamma-degs", "0.573", "--del-lam-degs", "180", "--t-max", "1.2"]
         + ["--step-size", "1"],
     ],
