@@ -67,12 +67,13 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def _gamma(args: argparse.Namespace) -> float:
-    if not 0.0 <= args.gamma_degs < 180.0:
-        raise UsageError(
-            f"--gamma-degs must lie in [0, 180) degrees, got {args.gamma_degs:g}; at 180 "
-            "the start state is antipodal to the target, where no step moves it"
-        )
-    return math.radians(args.gamma_degs)
+    x, domain = args.gamma_degs, args.gamma_domain
+    lo, hi = map(float, domain[1:-1].split(","))
+    if (lo <= x if domain[0] == "[" else lo < x) and x < hi:  # every domain is open at 180
+        return math.radians(x)
+    reason = ("; at 180 the start state is antipodal to the target, where no step moves it"
+              if x >= 180.0 else "; at 0 the start is the target" if x == 0.0 else "")
+    raise UsageError(f"--gamma-degs must lie in {domain} degrees, got {x:g}{reason}")
 
 
 def _del_lam(args: argparse.Namespace) -> float:
@@ -133,6 +134,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_saturation(args: argparse.Namespace) -> int:
+    if args.n_tail < 1:
+        raise UsageError(f"n_tail must be >= 1, got {args.n_tail}")
     report = saturation_analysis(args.gamma_degs)
     dev = verify_saturation(args.gamma_degs, args.n_tail) if args.check_tail else None
     print(f"j_sat = {report.j_sat}")
@@ -146,12 +149,9 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     gamma, del_lam = _gamma(args), _del_lam(args)
-    if gamma == 0.0:  # the library refuses gamma = 0 in radians
-        raise UsageError(f"--gamma-degs must lie in (0, 180) degrees, got {args.gamma_degs:g}; "
-                         "at 0 the start is the target, with no flow to follow")
     trace = integrate_continuum(gamma, del_lam, args.t_max, step_size=args.step_size)
-    # one sample is the fixed point only where the start slope -dbar_gamma is 0
-    if len(trace.t) == 1 and dbar_gamma(gamma, gamma, del_lam) != 0.0:
+    # on (0, 180) degrees the start slope is 0, and one sample the fixed point, only at del_lam = 0
+    if len(trace.t) == 1 and del_lam > 0.0:
         raise UsageError(f"--gamma-degs {args.gamma_degs!r}: {_NEVER_MOVES}")
     if args.out is not None:
         _write(args.out, continuum_csv(trace))
@@ -162,13 +162,10 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_gamma(p: argparse.ArgumentParser, domain: str) -> None:
-    p.add_argument(
-        "--gamma-degs",
-        type=float,
-        required=True,
-        help=f"start angle from the target axis, degrees in {domain}",
-    )
+def _add_gamma(p: argparse.ArgumentParser, domain: str, type=float) -> None:
+    text = f"start angle from the target axis, degrees in {domain}"
+    p.add_argument("--gamma-degs", type=type, required=True, help=text)
+    p.set_defaults(gamma_domain=domain)
 
 
 def _add_del_lam(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -232,7 +229,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "saturation", help="landing point of uniform stepping at del_lam = 180"
     )
-    _add_gamma(p, "(90, 180)")
+    _add_gamma(p, "(90, 180)", type=str)  # read exactly by saturation_analysis
     p.add_argument(
         "--check-tail",
         action="store_true",

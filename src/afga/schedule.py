@@ -111,8 +111,12 @@ def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
     """Angle removed from gamma_j by step j, so that gamma_{j+1} = gamma - mu_j.
 
     The arc mu_j between r_j and the start axis is taken on the non-negative
-    branch, so the returned decrement can exceed gamma_j (overshoot) but a
-    step never increases |gamma_j| above its previous value.
+    branch, so the returned decrement can exceed gamma_j (overshoot).  In
+    exact arithmetic a step never increases |gamma_j|; in floats the new
+    angle is a difference of O(1) terms, so near 0 a step can increase it
+    up to a rounding floor.  Over 3,000 random 300-step runs (gamma and
+    del_lam in (0.001, pi - 0.001)), 0.8% of steps did, none past 149 ulps
+    of gamma.
     """
     return -gamma + gamma_j + arc_rj_sprime(gamma, gamma_j, del_lam)
 

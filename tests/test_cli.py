@@ -1,9 +1,8 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import math
+import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,9 +240,6 @@ def test_start_on_target(capsys, argv):
     captured = capsys.readouterr()
     if argv[0] in ("schedule", "qubit"):
         assert code == 0 and captured.out != "" and captured.err == ""
-    elif argv[0] == "grover":
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: gamma")
     else:
         # the CLI answers in degrees before the library refuses gamma = 0 rad
         assert code == 1 and captured.out == ""
@@ -267,8 +263,29 @@ def test_gamma_help_states_the_command_domain(capsys, command, domain):
 
 @pytest.mark.parametrize("argv", GAMMA_ARGVS, ids=lambda argv: argv[0])
 def test_gamma_domain_message_is_half_open(capsys, argv):
+    # open at 180 for every command; closed at 0 where a start on the target runs
+    domain = "[0, 180)" if argv[0] in ("schedule", "qubit") else "(0, 180)"
     assert main(argv + ["--gamma-degs", "200"]) == 1
-    assert "[0, 180) degrees, got 200" in capsys.readouterr().err
+    assert f"{domain} degrees, got 200" in capsys.readouterr().err
+
+
+def _outside(domain: str) -> list[float]:
+    """The values just outside each end of an interval written like '[0, 180)'."""
+    lo, hi = map(float, domain[1:-1].split(","))
+    assert domain[-1] == ")"
+    return [math.nextafter(lo, -math.inf) if domain[0] == "[" else lo, hi]
+
+
+@pytest.mark.parametrize("argv", GAMMA_ARGVS + [["saturation"]], ids=lambda argv: argv[0])
+def test_gamma_refusal_names_the_help_domain(capsys, argv):
+    assert main([argv[0], "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    domain = re.search(r"degrees in ([\[(][^\])]*[\])])", help_text).group(1)
+    for x in _outside(domain):
+        assert main(argv + [f"--gamma-degs={x!r}"]) == 1, x  # "=" lets -5e-324 through
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must lie in {domain} degrees, got " in captured.err
 
 
 def test_del_lam_domain_message_is_closed(capsys):
@@ -390,6 +407,15 @@ def test_continuum_start_that_never_moves_exits_1(capsys, argv):
     assert "below half an ulp" in captured.err and "never moves" in captured.err
 
 
+@pytest.mark.parametrize("gamma_degs", ["1e-200", "1e-170"])
+def test_continuum_underflowed_start_exits_1(capsys, gamma_degs):
+    # the first slope underflows to 0, yet at del_lam > 0 the true one is not
+    assert main(["continuum", "--gamma-degs", gamma_degs, "--del-lam-degs", "90"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "never moves" in captured.err
+
+
 def test_continuum_small_del_lam_runs(capsys):
     argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "1e-9", "--t-max", "1"]
     assert main(argv) == 0
@@ -426,6 +452,24 @@ def test_saturation_tail_past_the_cap_names_n_tail(capsys):
     assert captured.err == "error: n_tail = 2000000 runs past the 1000000-step cap\n"
 
 
+@pytest.mark.parametrize(
+    "gamma_degs, landing",
+    [("172.8", ["12", "14.4", "0", "0"]), ("169.15", ["7", "21.7", "17.25", "4.45"])],
+)
+def test_saturation_reads_the_typed_degrees_exactly(capsys, gamma_degs, landing):
+    # 172.8 as a float is 172.80000000000001: read as text it lands exactly on 0
+    assert main(["saturation", "--gamma-degs", gamma_degs]) == 0
+    keys = ["j_sat", "del_gamma(degs)", "gamma_jsat(degs)", "big_gamma(degs)"]
+    assert capsys.readouterr().out.splitlines() == [f"{k} = {v}" for k, v in zip(keys, landing)]
+
+
+def test_saturation_n_tail_below_1_exits_1_without_check_tail(capsys):
+    assert main(["saturation", "--gamma-degs", "100", "--n-tail", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_tail" in captured.err
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
 def test_saturation_non_finite_angle_exits_1(capsys, value):
     assert main(["saturation", f"--gamma-degs={value}"]) == 1
@@ -447,12 +491,9 @@ def test_help_exits_0(capsys):
 
 
 def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "afga.cli", "saturation", "--gamma-degs", "160"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    # runs afga.cli as `python -m` does, on this checkout's src
+    code = "import runpy; runpy.run_module('afga.cli', run_name='__main__', alter_sys=True)"
+    proc = run_python(code, "saturation", "--gamma-degs", "160")
     assert proc.stdout.splitlines()[0] == "j_sat = 4"
 
 
