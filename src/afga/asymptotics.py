@@ -22,13 +22,12 @@ from math import fsum, log, pi
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-# build_schedule is unused here but importable: the benchmark tracer patches it
-from .schedule import MAX_SCHEDULE_STEPS, arc_rj_sprime, build_schedule, dbar_gamma  # noqa: F401
+from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, arc_rj_sprime, dbar_gamma
+# unused here but importable: the benchmark tracer patches it
+from .schedule import build_schedule  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    import numpy as np
 
 __all__ = [
     "SaturationReport",
@@ -127,11 +126,6 @@ class ContinuumTrace(NamedTuple):
     t: list[float]
     g: list[float]
 
-    def at(self, t) -> np.ndarray | float:
-        """g at arbitrary times by linear interpolation of the samples."""
-        import numpy as np
-        return np.interp(t, self.t, self.g)
-
 
 def _rhs(g: float, gamma: float, del_lam: float) -> float:
     return gamma - g - mu_of_g(g, gamma, del_lam)
@@ -153,12 +147,12 @@ def integrate_continuum(
     one start slope plus 6 slope evaluations per trial.  The slope must stay
     non-positive at every accepted step, and g is clamped at 0.  The trace
     ends early at g = 0 or at the first step that returns g itself, since
-    each later step would repeat that one.
+    each later step would repeat that one; a run still going after
+    MAX_SCHEDULE_STEPS accepted steps raises ValueError.
     """
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
-    if not 0.0 <= del_lam <= math.pi:
-        raise ValueError(f"del_lam must lie in [0, pi], got {del_lam}")
+    AfgaParams(gamma, del_lam, 0)  # raises on del_lam outside [0, pi]
     if not (0.0 < t_max < math.inf and 0.0 < step_size < math.inf):
         raise ValueError(
             f"t_max and step_size must be finite and > 0, got {t_max} and {step_size}"
@@ -167,6 +161,8 @@ def integrate_continuum(
     ts, gs = [0.0], [gamma]
     t, g, k1 = 0.0, gamma, _rhs(gamma, gamma, del_lam)
     while t < t_max and g > 0.0:
+        if len(ts) > MAX_SCHEDULE_STEPS:
+            raise ValueError(f"the flow runs past the {MAX_SCHEDULE_STEPS}-step cap at t = {t}")
         if k1 > _DOMAIN_EPS:
             raise ArithmeticError(f"positive slope at g = {g}; flow must decay")
         h = min(step_size, t_max - t)

@@ -38,7 +38,8 @@ __all__ = ["main", "UsageError"]
 
 
 _NEVER_MOVES = (
-    "the first step is below half an ulp of the start angle, so the start never moves"
+    "the first step is below half an ulp of the start angle, or underflows to 0,"
+    " so the start never moves"
 )
 
 
@@ -136,7 +137,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_saturation(args: argparse.Namespace) -> int:
     if args.n_tail < 1:
         raise UsageError(f"n_tail must be >= 1, got {args.n_tail}")
-    report = saturation_analysis(args.gamma_degs)
+    try:
+        report = saturation_analysis(args.gamma_degs)
+    except ValueError:
+        raise UsageError(
+            f"--gamma-degs must lie in {args.gamma_domain} degrees, got {args.gamma_degs}"
+        ) from None
     dev = verify_saturation(args.gamma_degs, args.n_tail) if args.check_tail else None
     print(f"j_sat = {report.j_sat}")
     print(f"del_gamma(degs) = {_fraction_str(report.del_gamma_degs)}")
@@ -153,12 +159,10 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     # on (0, 180) degrees the start slope is 0, and one sample the fixed point, only at del_lam = 0
     if len(trace.t) == 1 and del_lam > 0.0:
         raise UsageError(f"--gamma-degs {args.gamma_degs!r}: {_NEVER_MOVES}")
-    if args.out is not None:
+    if args.out is not None or not args.fit_rate:
         _write(args.out, continuum_csv(trace))
     if args.fit_rate:
         print(f"tail_rate = {fit_tail_rate(trace)!r}")
-    elif args.out is None:
-        _write(None, continuum_csv(trace))
     return 0
 
 

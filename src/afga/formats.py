@@ -107,7 +107,7 @@ def parse_afga_txt(text: str) -> AfgaTable:
 def schedule_csv(rows: list[ScheduleRow]) -> str:
     """Full-precision CSV of a schedule, angles in degrees."""
     return _csv(
-        "j,gam_j_degs,alp_j_degs,vr_x,vr_y,vr_z,vs_x,vs_y,vs_z",
+        ",".join(AFGA_COLUMNS).replace("(degs)", "_degs"),
         (f"{row.j},{_floats(_row_values(row))}" for row in rows),
     )
 

@@ -187,8 +187,8 @@ def steps_to_tolerance(
     AfgaParams(gamma, del_lam, 0)  # raises on angles outside [0, pi]
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if not 0 <= max_steps <= MAX_SCHEDULE_STEPS:
+        raise ValueError(f"max_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {max_steps}")
     gamma_j, mark, mark_j = gamma, gamma, 0
     for j in range(max_steps + 1):
         if abs(gamma_j) < tol:

@@ -16,7 +16,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .schedule import MAX_SCHEDULE_STEPS, iter_angles, steps_to_tolerance
+from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, iter_angles, steps_to_tolerance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -139,9 +139,8 @@ def run_afga_search(
     """
     if not TOL_FLOOR <= tol < 1.0:
         raise ValueError(f"tol must lie in [{TOL_FLOOR:g}, 1), got {tol}")
-    if not 0.0 <= del_lam <= math.pi:
-        raise ValueError(f"del_lam must lie in [0, pi], got {del_lam}")
     gamma = _start_angle(nb, target_index)
+    AfgaParams(gamma, del_lam, 0)  # raises on del_lam outside [0, pi]
     if max_steps is None:
         gamma_tol = 2.0 * math.asin(math.sqrt(tol))
         max_steps = 10 * max(steps_to_tolerance(gamma, del_lam, gamma_tol), 1)

@@ -332,7 +332,7 @@ def test_integrate_basic_shape():
     assert trace.t[0] == 0.0
     assert trace.g[0] == math.pi / 2
     assert np.all(np.diff(trace.g) <= 1e-15)
-    assert trace.at(0.0) == math.pi / 2
+    assert np.interp(0.0, trace.t, trace.g) == math.pi / 2
     assert trace.g[-1] < 1e-10
 
 
@@ -420,8 +420,21 @@ def test_discrete_run_tracks_continuum_within_degrees():
         gamma_j = next(angles)[0]
         if abs(gamma_j) < math.radians(1.0):
             break
-        worst = max(worst, abs(gamma_j - float(trace.at(float(j)))))
+        worst = max(worst, abs(gamma_j - float(np.interp(float(j), trace.t, trace.g))))
     assert worst < math.radians(4.0)
+
+
+def test_integrate_refuses_a_run_past_the_step_cap(monkeypatch):
+    # 90/90 reaches t = 0.5 in exactly 50 steps of 0.01 and its fixed point after 3,656
+    monkeypatch.setattr(afga.asymptotics, "MAX_SCHEDULE_STEPS", 100)
+    with pytest.raises(ValueError, match="runs past the 100-step cap"):
+        integrate_continuum(math.pi / 2, math.pi / 2, 80.0)
+    assert len(integrate_continuum(math.pi / 2, math.pi / 2, 0.5).t) == 51
+    monkeypatch.setattr(afga.asymptotics, "MAX_SCHEDULE_STEPS", 50)
+    assert len(integrate_continuum(math.pi / 2, math.pi / 2, 0.5).t) == 51
+    monkeypatch.setattr(afga.asymptotics, "MAX_SCHEDULE_STEPS", 49)
+    with pytest.raises(ValueError, match="runs past the 49-step cap"):
+        integrate_continuum(math.pi / 2, math.pi / 2, 0.5)
 
 
 def test_integrator_validation():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import afga.asymptotics
 from afga.cli import main
 from afga.formats import parse_afga_txt
 from afga.schedule import dbar_gamma
@@ -520,3 +521,44 @@ def test_search_max_steps_past_the_cap_exits_1_at_once():
     assert rc == "1"
     assert float(elapsed) < 1.0
     assert "max_steps must lie in [0, 1000000]" in proc.stderr
+
+
+def test_continuum_out_and_fit_rate_combinations(capsys, tmp_path):
+    # the trace goes to --out, else to stdout unless --fit-rate replaces it
+    argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "90", "--t-max", "80"]
+    assert main(argv) == 0
+    trace = capsys.readouterr().out
+    assert trace.startswith("t,g\n")
+    assert main(argv + ["--fit-rate"]) == 0
+    rate = capsys.readouterr().out
+    assert rate.startswith("tail_rate = ") and rate.count("\n") == 1
+    out = tmp_path / "flow.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text() == trace
+    out.unlink()
+    assert main(argv + ["--out", str(out), "--fit-rate"]) == 0
+    assert capsys.readouterr().out == rate and out.read_text() == trace
+    assert main(argv + ["--out", "-", "--fit-rate"]) == 0
+    assert capsys.readouterr().out == trace + rate
+
+
+def test_continuum_past_the_step_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(afga.asymptotics, "MAX_SCHEDULE_STEPS", 100)
+    argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "90", "--t-max", "80"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "runs past the 100-step cap" in captured.err
+
+
+def test_saturation_refusal_names_the_flag(capsys):
+    assert main(["saturation", "--gamma-degs", "45"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --gamma-degs must lie in (90, 180) degrees, got 45\n"
+
+
+@pytest.mark.parametrize("command", ["schedule", "continuum"])
+def test_underflowed_start_message_names_the_underflow(capsys, command):
+    assert main([command, "--gamma-degs", "1e-200", "--del-lam-degs", "90"]) == 1
+    assert "underflows to 0" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afga.asymptotics import integrate_continuum
 from afga.bloch import rotate
 from afga.schedule import (
     MAX_SCHEDULE_STEPS,
@@ -22,6 +23,7 @@ from afga.schedule import (
     polar_unit_vec,
     steps_to_tolerance,
 )
+from afga.search_sim import run_afga_search
 from helpers import Y_HAT, Z_HAT, alpha_from_vectors, arc_from_vectors, search_gamma
 
 RNG = np.random.default_rng(20260814)
@@ -286,10 +288,26 @@ def test_steps_to_tolerance_raises_in_trap():
     for bad, message in (
         ({"tol": 0.0}, "tol must be > 0"),
         ({"tol": math.nan}, "tol must be > 0, got nan"),
-        ({"max_steps": -1}, "max_steps must be >= 0, got -1"),
+        ({"max_steps": -1}, r"max_steps must lie in \[0, 1000000\], got -1"),
     ):
         with pytest.raises(ValueError, match=message):
             steps_to_tolerance(1.0, 1.0, **bad)
+
+
+@pytest.mark.parametrize("del_lam", [-1e-9, math.nan, math.pi + 1e-9])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda del_lam: AfgaParams(1.0, del_lam, 0),
+        lambda del_lam: steps_to_tolerance(1.0, del_lam),
+        lambda del_lam: run_afga_search(6, del_lam=del_lam, max_steps=10),
+        lambda del_lam: integrate_continuum(1.0, del_lam, 1.0),
+    ],
+    ids=["AfgaParams", "steps_to_tolerance", "run_afga_search", "integrate_continuum"],
+)
+def test_del_lam_outside_0_pi_is_refused_by_one_rule(run, del_lam):
+    with pytest.raises(ValueError, match=re.escape("del_lam must lie in [0, pi]")):
+        run(del_lam)
 
 
 def _plain_steps_to_tolerance(gamma, del_lam, tol, max_steps):
