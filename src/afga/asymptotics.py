@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import compress, pairwise
-from math import fsum, log, pi
+from math import fsum, log, pi, sin
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, arc_rj_sprime, dbar_gamma
+from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, _arc
 # unused here but importable: the benchmark tracer patches it
 from .schedule import build_schedule  # noqa: F401
 
@@ -101,9 +101,9 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     if landing + n_tail > MAX_SCHEDULE_STEPS:
         culprit = f"j_sat = {report.j_sat}" if landing > MAX_SCHEDULE_STEPS else f"{n_tail = }"
         raise ValueError(f"{culprit} runs past the {MAX_SCHEDULE_STEPS}-step cap")
-    tail, gamma_j = deque([gamma], maxlen=n_tail), gamma
-    for _ in range(landing + n_tail):
-        gamma_j -= dbar_gamma(gamma, gamma_j, pi)
+    tail, gamma_j, sin_g = deque([gamma], maxlen=n_tail), gamma, sin(gamma)
+    for _ in range(landing + n_tail):  # sin(del_lam / 2) is 1.0 at del_lam = pi
+        gamma_j -= -gamma + gamma_j + _arc(gamma, sin_g, 1.0, gamma_j)
         tail.append(gamma_j)
     big = report.big_gamma
     if big > 1e-9 and not all(prev * cur < 0.0 for prev, cur in pairwise(tail)):
@@ -117,7 +117,7 @@ def mu_of_g(g: float, gamma: float, del_lam: float) -> float:
     """
     if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS or not 0.0 <= gamma <= pi:
         raise ValueError(f"need 0 <= g <= gamma <= pi, got g={g}, gamma={gamma}")
-    return arc_rj_sprime(gamma, g, del_lam)
+    return _arc(gamma, sin(gamma), sin(0.5 * del_lam), g)
 
 
 class ContinuumTrace(NamedTuple):

@@ -155,10 +155,16 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     gamma, del_lam = _gamma(args), _del_lam(args)
+    if args.fit_rate and del_lam == 0.0:
+        raise UsageError("--fit-rate needs --del-lam-degs above 0: at 0 the flow is stationary"
+                         " at its start, so no --t-max gives it a tail to fit")
     trace = integrate_continuum(gamma, del_lam, args.t_max, step_size=args.step_size)
     # on (0, 180) degrees the start slope is 0, and one sample the fixed point, only at del_lam = 0
     if len(trace.t) == 1 and del_lam > 0.0:
-        raise UsageError(f"--gamma-degs {args.gamma_degs!r}: {_NEVER_MOVES}")
+        h, flag = min((args.step_size, "--step-size"), (args.t_max, "--t-max"))
+        if dbar_gamma(gamma, gamma, del_lam) == 0.0:  # the computed start slope underflowed
+            h, flag = args.gamma_degs, "--gamma-degs"
+        raise UsageError(f"{flag} {h!r}: {_NEVER_MOVES}")
     if args.out is not None or not args.fit_rate:
         _write(args.out, continuum_csv(trace))
     if args.fit_rate:

@@ -60,6 +60,11 @@ class _AfgaFields(NamedTuple):
     num_steps: int
 
 
+def _check_steps(name: str, steps: int) -> None:
+    if not 0 <= steps <= MAX_SCHEDULE_STEPS:
+        raise ValueError(f"{name} must lie in [0, {MAX_SCHEDULE_STEPS}], got {steps}")
+
+
 class AfgaParams(_AfgaFields):
     """Inputs of a schedule run: angles in radians, both within [0, pi]."""
 
@@ -70,8 +75,7 @@ class AfgaParams(_AfgaFields):
             raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
         if not 0.0 <= del_lam <= math.pi:
             raise ValueError(f"del_lam must lie in [0, pi], got {del_lam}")
-        if not 0 <= num_steps <= MAX_SCHEDULE_STEPS:
-            raise ValueError(f"num_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {num_steps}")
+        _check_steps("num_steps", num_steps)
         return super().__new__(cls, gamma, del_lam, num_steps)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
@@ -93,6 +97,23 @@ class ScheduleRow(NamedTuple):
     s_j: tuple[float, float, float]
 
 
+def _arc(gamma: float, sin_g: float, sin_half_dl: float, gamma_j: float) -> float:
+    """arc_rj_sprime given a run's sin(gamma) and sin(del_lam / 2)."""
+    a = sin(0.5 * (gamma - gamma_j))
+    h = a * a + sin_g * sin(gamma_j) * sin_half_dl * sin_half_dl
+    return 2.0 * asin(sqrt(0.0 if h < 0.0 else 1.0 if h > 1.0 else h))
+
+
+def _alpha(sin_g: float, cos_g: float, sin_dl: float, cos_dl: float, gamma_j: float) -> float:
+    """alpha given a run's sines and cosines of gamma and del_lam."""
+    sin_gj = sin(gamma_j)
+    s = sin_dl * sin_gj
+    c = sin_g * cos(gamma_j) - cos_g * sin_gj * cos_dl
+    if s * s + c * c < _ALPHA_DEGENERACY_EPS:
+        return 0.0
+    return atan2(s, c)
+
+
 def arc_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
     """Arc mu_j in [0, pi] between r_j and the start vector.
 
@@ -101,10 +122,7 @@ def arc_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
     precision unless its two terms cancel (gamma_j near -gamma, del_lam near
     pi).  The clamp to [0, 1] is two comparisons, so NaN stays NaN.
     """
-    a = sin(0.5 * (gamma - gamma_j))
-    b = sin(0.5 * del_lam)
-    h = a * a + sin(gamma) * sin(gamma_j) * b * b
-    return 2.0 * asin(sqrt(0.0 if h < 0.0 else 1.0 if h > 1.0 else h))
+    return _arc(gamma, sin(gamma), sin(0.5 * del_lam), gamma_j)
 
 
 def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
@@ -118,7 +136,7 @@ def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
     del_lam in (0.001, pi - 0.001)), 0.8% of steps did, none past 149 ulps
     of gamma.
     """
-    return -gamma + gamma_j + arc_rj_sprime(gamma, gamma_j, del_lam)
+    return -gamma + gamma_j + _arc(gamma, sin(gamma), sin(0.5 * del_lam), gamma_j)
 
 
 def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
@@ -131,11 +149,7 @@ def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
     or 0 when s^2 + c^2 = sin^2 mu_j puts r_j within 1e-12 rad of the start
     axis, where any phase works.
     """
-    s = sin(del_lam) * sin(gamma_j)
-    c = sin(gamma) * cos(gamma_j) - cos(gamma) * sin(gamma_j) * cos(del_lam)
-    if s * s + c * c < _ALPHA_DEGENERACY_EPS:
-        return 0.0
-    return atan2(s, c)
+    return _alpha(sin(gamma), cos(gamma), sin(del_lam), cos(del_lam), gamma_j)
 
 
 def polar_unit_vec(theta: float, phi: float = 0.0) -> tuple[float, float, float]:
@@ -147,10 +161,11 @@ def polar_unit_vec(theta: float, phi: float = 0.0) -> tuple[float, float, float]
 
 def iter_angles(gamma: float, del_lam: float) -> Iterator[tuple[float, float, float]]:
     """Yield (gamma_j, dbar_gamma_j, alpha_j) for j = 0, 1, 2, ... without end."""
-    gamma_j = gamma
+    sin_g, cos_g, sin_dl, cos_dl = sin(gamma), cos(gamma), sin(del_lam), cos(del_lam)
+    sin_half_dl, gamma_j = sin(0.5 * del_lam), gamma
     while True:
-        dbar_j = dbar_gamma(gamma, gamma_j, del_lam)
-        yield gamma_j, dbar_j, alpha(gamma, gamma_j, del_lam)
+        dbar_j = -gamma + gamma_j + _arc(gamma, sin_g, sin_half_dl, gamma_j)
+        yield gamma_j, dbar_j, _alpha(sin_g, cos_g, sin_dl, cos_dl, gamma_j)
         gamma_j -= dbar_j
 
 
@@ -187,9 +202,8 @@ def steps_to_tolerance(
     AfgaParams(gamma, del_lam, 0)  # raises on angles outside [0, pi]
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not 0 <= max_steps <= MAX_SCHEDULE_STEPS:
-        raise ValueError(f"max_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {max_steps}")
-    gamma_j, mark, mark_j = gamma, gamma, 0
+    _check_steps("max_steps", max_steps)
+    sin_g, sin_half_dl, gamma_j, mark, mark_j = sin(gamma), sin(0.5 * del_lam), gamma, gamma, 0
     for j in range(max_steps + 1):
         if abs(gamma_j) < tol:
             return j
@@ -199,7 +213,7 @@ def steps_to_tolerance(
             )
         if j & (j - 1) == 0:
             mark, mark_j = gamma_j, j
-        gamma_j -= dbar_gamma(gamma, gamma_j, del_lam)
+        gamma_j -= -gamma + gamma_j + _arc(gamma, sin_g, sin_half_dl, gamma_j)
     raise ConvergenceError(
         f"|gamma_j| did not fall below {tol} within {max_steps} steps"
     )

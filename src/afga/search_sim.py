@@ -16,7 +16,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, iter_angles, steps_to_tolerance
+from .schedule import AfgaParams, _check_steps, iter_angles, steps_to_tolerance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,12 +98,13 @@ def _target_phase_inplace(amps: np.ndarray, target_index: int, factor: complex) 
     amps[target_index] *= factor
 
 
-def _sprime_phase_inplace(amps: np.ndarray, factor: complex) -> None:
+def _sprime_phase_inplace(amps: np.ndarray, factor: complex, add_reduce) -> None:
     """e^{i phase |s'><s'|}: adds (factor - 1) <s'|psi> |s'>, the mean in every entry.
 
-    The sum divided by len(amps) = 2^nb, a power of two, is amps.mean() bitwise.
+    add_reduce is numpy.add.reduce, the sum of amps.sum() without its Python
+    wrapper; over len(amps) = 2^nb, a power of two, it is amps.mean() bitwise.
     """
-    amps += (factor - 1.0) * (complex(amps.sum()) / len(amps))
+    amps += (factor - 1.0) * (complex(add_reduce(amps)) / len(amps))
 
 
 def apply_target_phase(state: SearchState, phase: float) -> SearchState:
@@ -115,8 +116,9 @@ def apply_target_phase(state: SearchState, phase: float) -> SearchState:
 
 def apply_sprime_phase(state: SearchState, phase: float) -> SearchState:
     """e^{i phase |s'><s'|} with |s'> uniform, on a copy of the state."""
+    import numpy as np
     amps = state.amps.copy()
-    _sprime_phase_inplace(amps, cmath.exp(1.0j * phase))
+    _sprime_phase_inplace(amps, cmath.exp(1.0j * phase), np.add.reduce)
     return SearchState(state.nb, amps, state.target_index)
 
 
@@ -144,9 +146,11 @@ def run_afga_search(
     if max_steps is None:
         gamma_tol = 2.0 * math.asin(math.sqrt(tol))
         max_steps = 10 * max(steps_to_tolerance(gamma, del_lam, gamma_tol), 1)
-    elif not 0 <= max_steps <= MAX_SCHEDULE_STEPS:
-        raise ValueError(f"max_steps must lie in [0, {MAX_SCHEDULE_STEPS}], got {max_steps}")
+    else:
+        _check_steps("max_steps", max_steps)
     amps = init_uniform(nb, target_index).amps
+    import numpy as np
+    add_reduce = np.add.reduce
     angles = iter_angles(gamma, del_lam)
     target_factor = cmath.exp(1.0j * del_lam)
     goal = 1.0 - tol
@@ -156,6 +160,6 @@ def run_afga_search(
             break
         _, _, alpha_j = next(angles)
         _target_phase_inplace(amps, target_index, target_factor)
-        _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j))
+        _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j), add_reduce)
         success.append(_success(amps, target_index))
     return SearchTrace(success, success[-1] >= goal, gamma, del_lam)

@@ -21,7 +21,7 @@ from afga.asymptotics import (
     saturation_analysis,
     verify_saturation,
 )
-from afga.schedule import AfgaParams, build_schedule, dbar_gamma, iter_angles
+from afga.schedule import AfgaParams, _arc, build_schedule, dbar_gamma, iter_angles
 from helpers import max_initial_slope
 
 RNG = np.random.default_rng(20260814)
@@ -76,7 +76,7 @@ def test_saturation_refuses_non_finite_angles(bad):
 
 
 def test_verify_saturation_refuses_runs_past_the_step_cap(monkeypatch):
-    monkeypatch.setattr(afga.asymptotics, "dbar_gamma", lambda *args: pytest.fail())
+    monkeypatch.setattr(afga.asymptotics, "_arc", lambda *args: pytest.fail())
     # j_sat = 8,999,999 would take 9,000,012 steps
     with pytest.raises(ValueError, match="j_sat = 8999999 runs past the 1000000-step cap"):
         verify_saturation("179.99999")
@@ -110,9 +110,9 @@ def test_verify_saturation_stops_past_the_landing(monkeypatch, gamma_degs, n_tai
     def counting_step(*args):
         nonlocal steps
         steps += 1
-        return dbar_gamma(*args)
+        return _arc(*args)
 
-    monkeypatch.setattr(afga.asymptotics, "dbar_gamma", counting_step)
+    monkeypatch.setattr(afga.asymptotics, "_arc", counting_step)
     assert verify_saturation(gamma_degs, n_tail) < 1e-9
     # at most 4 steps past the landing, then the tail
     assert 0 < steps <= saturation_analysis(gamma_degs).j_sat + 4 + n_tail

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import afga.asymptotics
+import afga.cli
 from afga.cli import main
 from afga.formats import parse_afga_txt
 from afga.schedule import dbar_gamma
@@ -393,18 +394,22 @@ def test_saturation_n_tail_below_1_exits_1(capsys, n_tail):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["--del-lam-degs", "90", "--step-size", "1e-20"],
-        ["--del-lam-degs", "90", "--step-size", "1e-20", "--fit-rate"],
-        ["--del-lam-degs", "1e-13"],
+        (["--del-lam-degs", "90", "--step-size", "1e-20"], "--step-size 1e-20:"),
+        (["--del-lam-degs", "90", "--step-size", "1e-20", "--fit-rate"], "--step-size 1e-20:"),
+        (["--del-lam-degs", "90", "--step-size", "1e-17"], "--step-size 1e-17:"),
+        (["--del-lam-degs", "90", "--t-max", "1e-17"], "--t-max 1e-17:"),
+        (["--del-lam-degs", "1e-13"], "--step-size 0.01:"),
     ],
-    ids=["tiny-step", "tiny-step-fit", "tiny-del-lam"],
+    ids=["tiny-step", "tiny-step-fit", "step-1e-17", "tiny-t-max", "tiny-del-lam"],
 )
-def test_continuum_start_that_never_moves_exits_1(capsys, argv):
+def test_continuum_start_that_never_moves_exits_1(capsys, argv, named):
+    # the start slope is nonzero, so the step that times it is what is too small
     assert main(["continuum", "--gamma-degs", "90"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert f"error: {named}" in captured.err
     assert "below half an ulp" in captured.err and "never moves" in captured.err
 
 
@@ -414,7 +419,19 @@ def test_continuum_underflowed_start_exits_1(capsys, gamma_degs):
     assert main(["continuum", "--gamma-degs", gamma_degs, "--del-lam-degs", "90"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert f"error: --gamma-degs {float(gamma_degs)!r}:" in captured.err
     assert "never moves" in captured.err
+
+
+@pytest.mark.parametrize("t_max", ["60", "1000"])
+def test_continuum_fit_at_del_lam_0_exits_1_before_integrating(capsys, monkeypatch, t_max):
+    # the flow is stationary at del_lam = 0, so no t_max gives it a tail
+    monkeypatch.setattr(afga.cli, "integrate_continuum", lambda *a, **k: pytest.fail())
+    argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "0", "--t-max", t_max]
+    assert main(argv + ["--fit-rate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--del-lam-degs above 0" in captured.err and "stationary" in captured.err
 
 
 def test_continuum_small_del_lam_runs(capsys):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afga.asymptotics import integrate_continuum
@@ -366,6 +366,51 @@ def test_steps_to_tolerance_trap_landings_still_count():
         gamma = search_gamma(nb)
         assert steps_to_tolerance(gamma, math.pi, gamma_tol) == want
         assert _plain_steps_to_tolerance(gamma, math.pi, gamma_tol, want) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_angles, closed_angles)
+@example(0.0, 0.0)
+@example(0.0, math.pi)
+@example(math.pi, 0.0)
+@example(math.pi, math.pi)
+def test_iter_angles_equals_public_calls_bitwise(gamma, del_lam):
+    # iter_angles computes the run's sines and cosines once; the public
+    # functions compute them on every call
+    got = list(itertools.islice(iter_angles(gamma, del_lam), 60))
+    want, gamma_j = [], gamma
+    for _ in range(60):
+        dbar_j = dbar_gamma(gamma, gamma_j, del_lam)
+        want.append((gamma_j, dbar_j, alpha(gamma, gamma_j, del_lam)))
+        gamma_j -= dbar_j
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _public_steps_to_tolerance(gamma, del_lam, tol, max_steps):
+    """steps_to_tolerance stepped by dbar_gamma calls: its count, or its error text."""
+    gamma_j, mark, mark_j = gamma, gamma, 0
+    for j in range(max_steps + 1):
+        if abs(gamma_j) < tol:
+            return j
+        if gamma_j == mark and j > mark_j:
+            return f"|gamma_j| cycles with period {j - mark_j} at step {j}, never below {tol}"
+        if j & (j - 1) == 0:
+            mark, mark_j = gamma_j, j
+        gamma_j -= dbar_gamma(gamma, gamma_j, del_lam)
+    return f"|gamma_j| did not fall below {tol} within {max_steps} steps"
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_angles, closed_angles, st.sampled_from([1e-3, 1e-9, 1e-30]))
+@example(search_gamma(18), math.pi, 1e-6)  # a two-cycle found at step 514
+@example(1.0, 1.0, 1e-30)  # a rounding cycle below the floor
+@example(2.0, 1e-6, 1e-9)  # past the step cap
+def test_steps_to_tolerance_equals_public_step_loop(gamma, del_lam, tol):
+    try:
+        got = steps_to_tolerance(gamma, del_lam, tol, max_steps=2000)
+    except ConvergenceError as exc:
+        got = str(exc)
+    assert got == _public_steps_to_tolerance(gamma, del_lam, tol, 2000)
 
 
 open_angles = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
