@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import compress, pairwise
-from math import fsum, log, pi, sin
+from math import fsum, log, sin
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -111,13 +111,15 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     return max(abs(abs(gamma_j) - big) for gamma_j in tail)
 
 
-def mu_of_g(g: float, gamma: float, del_lam: float) -> float:
+def mu_of_g(g: float, gamma: float, sin_g: float, sin_half_dl: float) -> float:
     """Arc in [0, pi] between the start vector and the post-target-phase point:
-    schedule.arc_rj_sprime at gamma_j = g, within the flow's domain.
+    schedule.arc_rj_sprime at gamma_j = g, within the flow's domain, given a
+    run's sin(gamma) and sin(del_lam / 2).  The continuum flow takes each
+    slope through this one call.
     """
-    if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS or not 0.0 <= gamma <= pi:
-        raise ValueError(f"need 0 <= g <= gamma <= pi, got g={g}, gamma={gamma}")
-    return _arc(gamma, sin(gamma), sin(0.5 * del_lam), g)
+    if not -_DOMAIN_EPS <= g <= gamma + _DOMAIN_EPS:
+        raise ValueError(f"need 0 <= g <= gamma, got g={g}, gamma={gamma}")
+    return _arc(gamma, sin_g, sin_half_dl, g)
 
 
 class ContinuumTrace(NamedTuple):
@@ -125,10 +127,6 @@ class ContinuumTrace(NamedTuple):
 
     t: list[float]
     g: list[float]
-
-
-def _rhs(g: float, gamma: float, del_lam: float) -> float:
-    return gamma - g - mu_of_g(g, gamma, del_lam)
 
 
 def integrate_continuum(
@@ -144,11 +142,13 @@ def integrate_continuum(
     within 1e-8, else it is retried at half size, as is a trial whose stage
     leaves the flow's domain [0, gamma].  The pair is first same as last:
     the slope at an accepted value starts the next step, so a trace costs
-    one start slope plus 6 slope evaluations per trial.  The slope must stay
-    non-positive at every accepted step, and g is clamped at 0.  The trace
-    ends early at g = 0 or at the first step that returns g itself, since
-    each later step would repeat that one; a run still going after
-    MAX_SCHEDULE_STEPS accepted steps raises ValueError.
+    one start slope plus 6 slope evaluations per trial.  sin(gamma) and
+    sin(del_lam / 2) are computed once per run, and each slope is one call
+    of mu_of_g with them, so counting mu_of_g calls counts the slopes.  The
+    slope must stay non-positive at every accepted step, and g is clamped
+    at 0.  The trace ends early at g = 0 or at the first step that returns
+    g itself, since each later step would repeat that one; a run still
+    going after MAX_SCHEDULE_STEPS accepted steps raises ValueError.
     """
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
@@ -158,8 +158,10 @@ def integrate_continuum(
             f"t_max and step_size must be finite and > 0, got {t_max} and {step_size}"
         )
 
+    sin_g, sin_half_dl = sin(gamma), sin(0.5 * del_lam)
     ts, gs = [0.0], [gamma]
-    t, g, k1 = 0.0, gamma, _rhs(gamma, gamma, del_lam)
+    t, g = 0.0, gamma
+    k1 = gamma - g - mu_of_g(g, gamma, sin_g, sin_half_dl)
     while t < t_max and g > 0.0:
         if len(ts) > MAX_SCHEDULE_STEPS:
             raise ValueError(f"the flow runs past the {MAX_SCHEDULE_STEPS}-step cap at t = {t}")
@@ -168,16 +170,21 @@ def integrate_continuum(
         h = min(step_size, t_max - t)
         for _ in range(_MAX_HALVINGS):
             try:  # a Dormand-Prince 5(4) trial, each stage summed left to right
-                k2 = _rhs(g + h * (1 / 5 * k1), gamma, del_lam)
-                k3 = _rhs(g + h * (3 / 40 * k1 + 9 / 40 * k2), gamma, del_lam)
-                k4 = _rhs(g + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), gamma, del_lam)
-                k5 = _rhs(g + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
-                                   - 212 / 729 * k4), gamma, del_lam)
-                k6 = _rhs(g + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                                   + 49 / 176 * k4 - 5103 / 18656 * k5), gamma, del_lam)
+                x = g + h * (1 / 5 * k1)
+                k2 = gamma - x - mu_of_g(x, gamma, sin_g, sin_half_dl)
+                x = g + h * (3 / 40 * k1 + 9 / 40 * k2)
+                k3 = gamma - x - mu_of_g(x, gamma, sin_g, sin_half_dl)
+                x = g + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3)
+                k4 = gamma - x - mu_of_g(x, gamma, sin_g, sin_half_dl)
+                x = g + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                             - 212 / 729 * k4)
+                k5 = gamma - x - mu_of_g(x, gamma, sin_g, sin_half_dl)
+                x = g + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                             + 49 / 176 * k4 - 5103 / 18656 * k5)
+                k6 = gamma - x - mu_of_g(x, gamma, sin_g, sin_half_dl)
                 y = g + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                              - 2187 / 6784 * k5 + 11 / 84 * k6)
-                k7 = _rhs(y, gamma, del_lam)
+                k7 = gamma - y - mu_of_g(y, gamma, sin_g, sin_half_dl)
                 err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
                            - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
                 if abs(err) <= _LOCAL_ERR_TOL:

@@ -84,11 +84,20 @@ def _del_lam(args: argparse.Namespace) -> float:
     return math.radians(degs)
 
 
+def _stalling_flag(args: argparse.Namespace, moves_at_90: bool) -> str:
+    """The flag to blame for a start that never moves: --del-lam-degs when
+    the same start moves at a 90-degree phase, else --gamma-degs."""
+    if moves_at_90:
+        return f"--del-lam-degs {args.del_lam_degs!r}"
+    return f"--gamma-degs {args.gamma_degs!r}"
+
+
 def _params(args: argparse.Namespace) -> AfgaParams:
     p = AfgaParams(_gamma(args), _del_lam(args), args.num_steps)
     frozen = p.gamma - dbar_gamma(p.gamma, p.gamma, p.del_lam) == p.gamma
     if frozen and 0.0 < p.gamma and 0.0 < p.del_lam < math.pi:
-        raise UsageError(f"--gamma-degs {args.gamma_degs!r}: {_NEVER_MOVES}")
+        moves_at_90 = p.gamma - dbar_gamma(p.gamma, p.gamma, 0.5 * math.pi) != p.gamma
+        raise UsageError(f"{_stalling_flag(args, moves_at_90)}: {_NEVER_MOVES}")
     return p
 
 
@@ -162,9 +171,10 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     # on (0, 180) degrees the start slope is 0, and one sample the fixed point, only at del_lam = 0
     if len(trace.t) == 1 and del_lam > 0.0:
         h, flag = min((args.step_size, "--step-size"), (args.t_max, "--t-max"))
+        named = f"{flag} {h!r}"
         if dbar_gamma(gamma, gamma, del_lam) == 0.0:  # the computed start slope underflowed
-            h, flag = args.gamma_degs, "--gamma-degs"
-        raise UsageError(f"{flag} {h!r}: {_NEVER_MOVES}")
+            named = _stalling_flag(args, dbar_gamma(gamma, gamma, 0.5 * math.pi) != 0.0)
+        raise UsageError(f"{named}: {_NEVER_MOVES}")
     if args.out is not None or not args.fit_rate:
         _write(args.out, continuum_csv(trace))
     if args.fit_rate:

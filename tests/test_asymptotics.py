@@ -9,19 +9,25 @@ from operator import add
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import afga.asymptotics
 from afga.asymptotics import (
-    _rhs,
     fit_tail_rate,
     integrate_continuum,
     mu_of_g,
     saturation_analysis,
     verify_saturation,
 )
-from afga.schedule import AfgaParams, _arc, build_schedule, dbar_gamma, iter_angles
+from afga.schedule import (
+    AfgaParams,
+    _arc,
+    arc_rj_sprime,
+    build_schedule,
+    dbar_gamma,
+    iter_angles,
+)
 from helpers import max_initial_slope
 
 RNG = np.random.default_rng(20260814)
@@ -147,27 +153,31 @@ def test_verify_saturation_holds_only_the_tail():
     assert peak < 2**20
 
 
+def _mu(g, gamma, del_lam):
+    return mu_of_g(g, gamma, math.sin(gamma), math.sin(0.5 * del_lam))
+
+
 def test_mu_examples():
     # del_lam = pi folds the arc to the smaller of 2g and 2 pi - 2g
-    assert mu_of_g(math.radians(40), math.radians(40), math.pi) == pytest.approx(
+    assert _mu(math.radians(40), math.radians(40), math.pi) == pytest.approx(
         math.radians(80), abs=1e-12
     )
-    assert mu_of_g(math.radians(100), math.radians(100), math.pi) == pytest.approx(
+    assert _mu(math.radians(100), math.radians(100), math.pi) == pytest.approx(
         math.radians(160), abs=1e-9
     )
     # del_lam = 0 leaves the meridian, so the arc is the angle difference
-    assert mu_of_g(0.3, 1.0, 0.0) == pytest.approx(0.7, abs=1e-12)
-    assert mu_of_g(0.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert _mu(0.3, 1.0, 0.0) == pytest.approx(0.7, abs=1e-12)
+    assert _mu(0.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     # small del_lam: transverse arc sin(gamma) del_lam
     gamma = 1.0
-    assert mu_of_g(gamma, gamma, 1e-3) == pytest.approx(
+    assert _mu(gamma, gamma, 1e-3) == pytest.approx(
         math.sin(gamma) * 1e-3, rel=1e-4
     )
     # g = gamma: the arc between s' and its own image after the target phase
-    assert mu_of_g(math.pi / 2, math.pi / 2, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert mu_of_g(math.pi / 2, math.pi / 2, math.pi) == math.pi
+    assert _mu(math.pi / 2, math.pi / 2, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert _mu(math.pi / 2, math.pi / 2, math.pi) == math.pi
     # g = gamma at del_lam = 0 has no arc, and roundoff must not make one
-    assert mu_of_g(1.4000000000000001, 1.4000000000000001, 0.0) == 0.0
+    assert _mu(1.4000000000000001, 1.4000000000000001, 0.0) == 0.0
 
 
 angles = st.floats(0.0, math.pi)
@@ -177,17 +187,34 @@ angles = st.floats(0.0, math.pi)
 @given(angles, st.floats(0.0, 1.0), angles)
 def test_flow_is_minus_recursion_step(gamma, frac, del_lam):
     g = frac * gamma
-    assert _rhs(g, gamma, del_lam) == pytest.approx(
+    assert gamma - g - _mu(g, gamma, del_lam) == pytest.approx(
         -dbar_gamma(gamma, g, del_lam), abs=1e-12
     )
-    assert 0.0 <= mu_of_g(g, gamma, del_lam) <= math.pi
+    assert 0.0 <= _mu(g, gamma, del_lam) <= math.pi
 
 
 def test_mu_domain_validation():
     with pytest.raises(ValueError):
-        mu_of_g(1.1, 1.0, 0.5)
+        _mu(1.1, 1.0, 0.5)
     with pytest.raises(ValueError):
-        mu_of_g(-0.1, 1.0, 0.5)
+        _mu(-0.1, 1.0, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, st.floats(0.0, 1.0), angles)
+def test_mu_is_the_arc_given_the_run_sines(gamma, frac, del_lam):
+    g = frac * gamma
+    mu = mu_of_g(g, gamma, math.sin(gamma), math.sin(del_lam / 2))
+    assert mu.hex() == arc_rj_sprime(gamma, g, del_lam).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, st.floats(1e-12, 10.0, exclude_min=True), st.booleans(), angles)
+def test_mu_refuses_g_outside_the_flow_domain(gamma, past, below, del_lam):
+    g = -past if below else gamma + past
+    assume(not -1e-12 <= g <= gamma + 1e-12)  # gamma + past can round back onto the edge
+    with pytest.raises(ValueError):
+        mu_of_g(g, gamma, math.sin(gamma), math.sin(del_lam / 2))
 
 
 # Dormand-Prince 5(4) as published (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -214,7 +241,7 @@ def _reference_dp54(gamma, del_lam, t_max, step_size, a=DP54_A, b=DP54_B, e=DP54
     """
 
     def rhs(g):
-        return gamma - g - mu_of_g(g, gamma, del_lam)
+        return gamma - g - _mu(g, gamma, del_lam)
 
     def weighted(weights, ks):
         return reduce(add, [w * k for w, k in zip(weights, ks) if w != 0.0])
@@ -298,6 +325,21 @@ def test_integrate_shares_the_start_slope(monkeypatch, gamma, del_lam, t_max, st
     assert calls == 1 + 6 * trials
 
 
+@pytest.mark.parametrize("t_max", [0.5, 80.0])
+def test_integrate_takes_the_run_sines_once(monkeypatch, t_max):
+    # sin(gamma) and sin(del_lam / 2), once per run, however many slopes it takes
+    calls = 0
+
+    def counting_sin(x):
+        nonlocal calls
+        calls += 1
+        return math.sin(x)
+
+    monkeypatch.setattr(afga.asymptotics, "sin", counting_sin)
+    trace = integrate_continuum(math.pi / 2, math.pi / 2, t_max)
+    assert len(trace.t) > 10 and calls == 2
+
+
 def test_trace_ends_at_the_fixed_point():
     # at 90/90 degrees the flow reaches g = 1.6e-16 near t = 37, where a step
     # returns g itself; a longer t_max adds nothing
@@ -319,7 +361,7 @@ def test_integrate_within_2e_12_of_dop853(gamma_degs, del_lam_degs, t_max):
     trace = integrate_continuum(gamma, del_lam, t_max)
 
     def rhs(_t, y):
-        return [gamma - y[0] - mu_of_g(min(max(y[0], 0.0), gamma), gamma, del_lam)]
+        return [gamma - y[0] - arc_rj_sprime(gamma, min(max(y[0], 0.0), gamma), del_lam)]
 
     sol = scipy.integrate.solve_ivp(
         rhs, (0.0, t_max), [gamma], method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True
@@ -341,7 +383,7 @@ def test_integrate_matches_scipy():
     trace = integrate_continuum(gamma, del_lam, 20.0)
 
     def rhs(_t, y):
-        return [gamma - y[0] - mu_of_g(min(max(y[0], 0.0), gamma), gamma, del_lam)]
+        return [gamma - y[0] - arc_rj_sprime(gamma, min(max(y[0], 0.0), gamma), del_lam)]
 
     sol = scipy.integrate.solve_ivp(
         rhs,

@@ -423,6 +423,27 @@ def test_continuum_underflowed_start_exits_1(capsys, gamma_degs):
     assert "never moves" in captured.err
 
 
+@pytest.mark.parametrize("command", ["schedule", "qubit", "continuum"])
+@pytest.mark.parametrize(
+    "gamma_degs, del_lam_degs, named",
+    [
+        # each start moves at a 90-degree phase, so --del-lam-degs holds it
+        ("90", "1e-300", "--del-lam-degs 1e-300:"),
+        ("90", "1e-15", "--del-lam-degs 1e-15:"),
+        ("1e-200", "90", "--gamma-degs 1e-200:"),
+    ],
+)
+def test_stalled_start_names_the_flag_that_stalls_it(
+    capsys, command, gamma_degs, del_lam_degs, named
+):
+    if command == "continuum" and del_lam_degs == "1e-15":
+        named = "--step-size 0.01:"  # the start slope is nonzero; the step is too small
+    assert main([command, "--gamma-degs", gamma_degs, "--del-lam-degs", del_lam_degs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}") and "never moves" in captured.err
+
+
 @pytest.mark.parametrize("t_max", ["60", "1000"])
 def test_continuum_fit_at_del_lam_0_exits_1_before_integrating(capsys, monkeypatch, t_max):
     # the flow is stationary at del_lam = 0, so no t_max gives it a tail
