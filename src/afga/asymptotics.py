@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import compress, pairwise
+from itertools import compress, islice, pairwise
 from math import fsum, log, sin
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, _arc
+from .schedule import MAX_SCHEDULE_STEPS, AfgaParams, _arc, _walk
 # unused here but importable: the benchmark tracer patches it
 from .schedule import build_schedule  # noqa: F401
 
@@ -101,10 +101,8 @@ def verify_saturation(gamma_degs, n_tail: int = 10) -> float:
     if landing + n_tail > MAX_SCHEDULE_STEPS:
         culprit = f"j_sat = {report.j_sat}" if landing > MAX_SCHEDULE_STEPS else f"{n_tail = }"
         raise ValueError(f"{culprit} runs past the {MAX_SCHEDULE_STEPS}-step cap")
-    tail, gamma_j, sin_g = deque([gamma], maxlen=n_tail), gamma, sin(gamma)
-    for _ in range(landing + n_tail):  # sin(del_lam / 2) is 1.0 at del_lam = pi
-        gamma_j -= -gamma + gamma_j + _arc(gamma, sin_g, 1.0, gamma_j)
-        tail.append(gamma_j)
+    walk = islice(_walk(gamma, math.pi, gamma), landing + n_tail + 1)
+    tail = deque(map(itemgetter(0), walk), maxlen=n_tail)
     big = report.big_gamma
     if big > 1e-9 and not all(prev * cur < 0.0 for prev, cur in pairwise(tail)):
         raise ArithmeticError(f"tail failed to alternate at gamma = {gamma_degs} degrees")

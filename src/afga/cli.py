@@ -29,7 +29,7 @@ from .formats import (
 )
 from .qubit_sim import run_afga_qubit, run_grover_qubit
 from .schedule import AfgaParams, ConvergenceError, build_schedule, dbar_gamma
-from .search_sim import run_afga_search
+from .search_sim import _start_angle, run_afga_search
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -92,12 +92,17 @@ def _stalling_flag(args: argparse.Namespace, moves_at_90: bool) -> str:
     return f"--gamma-degs {args.gamma_degs!r}"
 
 
+def _check_moves(args: argparse.Namespace, gamma: float, del_lam: float) -> None:
+    """Refuse a start that its first step leaves unchanged at a del_lam in (0, pi)."""
+    frozen = gamma - dbar_gamma(gamma, gamma, del_lam) == gamma
+    if frozen and 0.0 < gamma and 0.0 < del_lam < math.pi:
+        moves_at_90 = gamma - dbar_gamma(gamma, gamma, 0.5 * math.pi) != gamma
+        raise UsageError(f"{_stalling_flag(args, moves_at_90)}: {_NEVER_MOVES}")
+
+
 def _params(args: argparse.Namespace) -> AfgaParams:
     p = AfgaParams(_gamma(args), _del_lam(args), args.num_steps)
-    frozen = p.gamma - dbar_gamma(p.gamma, p.gamma, p.del_lam) == p.gamma
-    if frozen and 0.0 < p.gamma and 0.0 < p.del_lam < math.pi:
-        moves_at_90 = p.gamma - dbar_gamma(p.gamma, p.gamma, 0.5 * math.pi) != p.gamma
-        raise UsageError(f"{_stalling_flag(args, moves_at_90)}: {_NEVER_MOVES}")
+    _check_moves(args, p.gamma, p.del_lam)
     return p
 
 
@@ -122,10 +127,13 @@ def _cmd_grover(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    del_lam = _del_lam(args)
+    # every search start (nb in [1, 24]) moves at 90 degrees, so a refusal names --del-lam-degs
+    _check_moves(args, _start_angle(args.nb, args.target_index), del_lam)
     trace = run_afga_search(
         args.nb,
         target_index=args.target_index,
-        del_lam=_del_lam(args),
+        del_lam=del_lam,
         max_steps=args.max_steps,
         tol=args.tol,
     )

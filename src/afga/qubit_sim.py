@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterable
 
 # polar_unit_vec and the afga.bloch names served below are unused here but
@@ -74,7 +75,7 @@ def run_afga_qubit(params: AfgaParams) -> ErrTrace:
     del_lam in (0, pi); at del_lam = pi it stalls at the trap's residual angle.
     """
     angles = itertools.islice(iter_angles(params.gamma, params.del_lam), params.num_steps)
-    return _run(params.gamma, params.del_lam, (alpha_j for _, _, alpha_j in angles))
+    return _run(params.gamma, params.del_lam, map(itemgetter(2), angles))
 
 
 def run_grover_qubit(gamma: float, num_steps: int) -> ErrTrace:

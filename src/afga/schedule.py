@@ -114,6 +114,15 @@ def _alpha(sin_g: float, cos_g: float, sin_dl: float, cos_dl: float, gamma_j: fl
     return atan2(s, c)
 
 
+def _walk(gamma: float, del_lam: float, gamma_j: float) -> Iterator[tuple[float, float]]:
+    """Yield (gamma_j, dbar_gamma_j) from gamma_j on: the one step, sines taken once per run."""
+    sin_g, sin_half_dl = sin(gamma), sin(0.5 * del_lam)
+    while True:
+        dbar_j = -gamma + gamma_j + _arc(gamma, sin_g, sin_half_dl, gamma_j)
+        yield gamma_j, dbar_j
+        gamma_j -= dbar_j
+
+
 def arc_rj_sprime(gamma: float, gamma_j: float, del_lam: float) -> float:
     """Arc mu_j in [0, pi] between r_j and the start vector.
 
@@ -136,7 +145,7 @@ def dbar_gamma(gamma: float, gamma_j: float, del_lam: float) -> float:
     del_lam in (0.001, pi - 0.001)), 0.8% of steps did, none past 149 ulps
     of gamma.
     """
-    return -gamma + gamma_j + _arc(gamma, sin(gamma), sin(0.5 * del_lam), gamma_j)
+    return next(_walk(gamma, del_lam, gamma_j))[1]
 
 
 def alpha(gamma: float, gamma_j: float, del_lam: float) -> float:
@@ -162,11 +171,8 @@ def polar_unit_vec(theta: float, phi: float = 0.0) -> tuple[float, float, float]
 def iter_angles(gamma: float, del_lam: float) -> Iterator[tuple[float, float, float]]:
     """Yield (gamma_j, dbar_gamma_j, alpha_j) for j = 0, 1, 2, ... without end."""
     sin_g, cos_g, sin_dl, cos_dl = sin(gamma), cos(gamma), sin(del_lam), cos(del_lam)
-    sin_half_dl, gamma_j = sin(0.5 * del_lam), gamma
-    while True:
-        dbar_j = -gamma + gamma_j + _arc(gamma, sin_g, sin_half_dl, gamma_j)
+    for gamma_j, dbar_j in _walk(gamma, del_lam, gamma):
         yield gamma_j, dbar_j, _alpha(sin_g, cos_g, sin_dl, cos_dl, gamma_j)
-        gamma_j -= dbar_j
 
 
 def build_schedule(params: AfgaParams) -> list[ScheduleRow]:
@@ -203,8 +209,8 @@ def steps_to_tolerance(
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     _check_steps("max_steps", max_steps)
-    sin_g, sin_half_dl, gamma_j, mark, mark_j = sin(gamma), sin(0.5 * del_lam), gamma, gamma, 0
-    for j in range(max_steps + 1):
+    mark, mark_j = gamma, 0
+    for j, (gamma_j, _) in zip(range(max_steps + 1), _walk(gamma, del_lam, gamma)):
         if abs(gamma_j) < tol:
             return j
         if gamma_j == mark and j > mark_j:
@@ -213,7 +219,6 @@ def steps_to_tolerance(
             )
         if j & (j - 1) == 0:
             mark, mark_j = gamma_j, j
-        gamma_j -= -gamma + gamma_j + _arc(gamma, sin_g, sin_half_dl, gamma_j)
     raise ConvergenceError(
         f"|gamma_j| did not fall below {tol} within {max_steps} steps"
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .schedule import AfgaParams, _check_steps, iter_angles, steps_to_tolerance
@@ -151,14 +152,12 @@ def run_afga_search(
     amps = init_uniform(nb, target_index).amps
     import numpy as np
     add_reduce = np.add.reduce
-    angles = iter_angles(gamma, del_lam)
     target_factor = cmath.exp(1.0j * del_lam)
     goal = 1.0 - tol
     success = [_success(amps, target_index)]
-    for _ in range(max_steps):
+    for _, _, alpha_j in islice(iter_angles(gamma, del_lam), max_steps):
         if success[-1] >= goal:
             break
-        _, _, alpha_j = next(angles)
         _target_phase_inplace(amps, target_index, target_factor)
         _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j), add_reduce)
         success.append(_success(amps, target_index))

@@ -22,7 +22,7 @@ from afga.asymptotics import (
 )
 from afga.schedule import (
     AfgaParams,
-    _arc,
+    _walk,
     arc_rj_sprime,
     build_schedule,
     dbar_gamma,
@@ -82,7 +82,7 @@ def test_saturation_refuses_non_finite_angles(bad):
 
 
 def test_verify_saturation_refuses_runs_past_the_step_cap(monkeypatch):
-    monkeypatch.setattr(afga.asymptotics, "_arc", lambda *args: pytest.fail())
+    monkeypatch.setattr(afga.asymptotics, "_walk", lambda *args: pytest.fail())
     # j_sat = 8,999,999 would take 9,000,012 steps
     with pytest.raises(ValueError, match="j_sat = 8999999 runs past the 1000000-step cap"):
         verify_saturation("179.99999")
@@ -111,15 +111,18 @@ def test_verify_saturation_random():
 @pytest.mark.parametrize("n_tail", [1, 2, 10])
 @pytest.mark.parametrize("gamma_degs", [160, 164, 166, 179.9])
 def test_verify_saturation_stops_past_the_landing(monkeypatch, gamma_degs, n_tail):
-    steps = 0
+    angles = 0
 
-    def counting_step(*args):
-        nonlocal steps
-        steps += 1
-        return _arc(*args)
+    def counting_walk(*args):
+        nonlocal angles
+        for item in _walk(*args):
+            angles += 1
+            yield item
 
-    monkeypatch.setattr(afga.asymptotics, "_arc", counting_step)
+    monkeypatch.setattr(afga.asymptotics, "_walk", counting_walk)
     assert verify_saturation(gamma_degs, n_tail) < 1e-9
+    # the first angle is the start, so each later one is a step taken
+    steps = angles - 1
     # at most 4 steps past the landing, then the tail
     assert 0 < steps <= saturation_analysis(gamma_degs).j_sat + 4 + n_tail
 

@@ -444,6 +444,25 @@ def test_stalled_start_names_the_flag_that_stalls_it(
     assert captured.err.startswith(f"error: {named}") and "never moves" in captured.err
 
 
+@pytest.mark.parametrize("del_lam_degs", ["1e-15", "1e-300"])
+@pytest.mark.parametrize("extra", [[], ["--max-steps", "5"]], ids=["predicted", "max-steps"])
+def test_search_start_that_never_moves_exits_1(capsys, monkeypatch, del_lam_degs, extra):
+    # refused before the step prediction and the amplitudes, not run to exit 2
+    monkeypatch.setattr(afga.cli, "run_afga_search", lambda *a, **k: pytest.fail())
+    assert main(["search", "--nb", "6", "--del-lam-degs", del_lam_degs] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --del-lam-degs {del_lam_degs}:")
+    assert "never moves" in captured.err
+
+
+def test_search_at_del_lam_0_still_exits_2(capsys):
+    # the start never moves here either, but the trap phases keep their exit 2
+    assert main(["search", "--nb", "6", "--del-lam-degs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cycles" in captured.err
+
+
 @pytest.mark.parametrize("t_max", ["60", "1000"])
 def test_continuum_fit_at_del_lam_0_exits_1_before_integrating(capsys, monkeypatch, t_max):
     # the flow is stationary at del_lam = 0, so no t_max gives it a tail

@@ -368,6 +368,27 @@ def test_steps_to_tolerance_trap_landings_still_count():
         assert _plain_steps_to_tolerance(gamma, math.pi, gamma_tol, want) == want
 
 
+# any two of these sum to a finite float, so no sine meets an infinity
+finite_or_nan = st.floats(-1e300, 1e300) | st.just(math.nan)
+
+
+@settings(max_examples=500, deadline=None)
+@given(finite_or_nan, finite_or_nan, finite_or_nan)
+@example(1.0, math.nan, 1.0)
+@example(math.nan, 1.0, 1.0)
+@example(1.0, 1.0, math.nan)
+@example(5e-324, 5e-324, 1.0)
+@example(1.0, -5e-324, 2.2e-308)
+@example(0.0, -0.0, 1.0)
+@example(-0.0, 0.0, -0.0)
+@example(math.pi, -math.pi, math.pi)
+def test_dbar_gamma_is_the_arc_step_bitwise(gamma, gamma_j, del_lam):
+    # the step written out from the public arc, outside the walk that the
+    # stepping loops share with dbar_gamma
+    want = -gamma + gamma_j + arc_rj_sprime(gamma, gamma_j, del_lam)
+    assert dbar_gamma(gamma, gamma_j, del_lam).hex() == want.hex()
+
+
 @settings(max_examples=300, deadline=None)
 @given(closed_angles, closed_angles)
 @example(0.0, 0.0)

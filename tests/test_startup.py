@@ -22,6 +22,8 @@ SCALAR_COMMANDS = [
 ]
 # the del_lam = 180 trap: refused (exit 2) before the amplitudes are allocated
 REFUSED_SEARCH = ["search", "--nb", "6", "--del-lam-degs", "180"]
+# a start whose first step rounds away: refused (exit 1) before numpy loads
+STILL_SEARCH = ["search", "--nb", "6", "--del-lam-degs", "1e-15"]
 
 # argv: "block" or "allow", then the commands as JSON; prints
 # [exit code, stdout, stderr] for each
@@ -67,13 +69,15 @@ def test_qubit_traces_read_with_numpy_blocked():
 
 
 def test_scalar_commands_run_with_numpy_blocked():
-    commands = SCALAR_COMMANDS + [REFUSED_SEARCH]
+    commands = SCALAR_COMMANDS + [REFUSED_SEARCH, STILL_SEARCH]
     blocked = json.loads(run_python(_RUN_COMMANDS, "block", json.dumps(commands)).stdout)
     allowed = json.loads(run_python(_RUN_COMMANDS, "allow", json.dumps(commands)).stdout)
     assert len(blocked) == len(allowed) == len(commands)
     for argv, (code, out, err), want in zip(commands, blocked, allowed):
         if argv is REFUSED_SEARCH:
             assert code == 2 and out == "" and "cycles" in err, argv
+        elif argv is STILL_SEARCH:
+            assert code == 1 and out == "" and "never moves" in err, argv
         else:
             assert code == 0 and out and err == "", argv
         assert [code, out, err] == want, argv
