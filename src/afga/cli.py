@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .asymptotics import (
     fit_tail_rate,
@@ -29,7 +29,7 @@ from .formats import (
 )
 from .qubit_sim import run_afga_qubit, run_grover_qubit
 from .schedule import AfgaParams, ConvergenceError, build_schedule, dbar_gamma
-from .search_sim import _start_angle, run_afga_search
+from .search_sim import MAX_NB, _start_angle, run_afga_search
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,20 +84,24 @@ def _del_lam(args: argparse.Namespace) -> float:
     return math.radians(degs)
 
 
-def _stalling_flag(args: argparse.Namespace, moves_at_90: bool) -> str:
-    """The flag to blame for a start that never moves: --del-lam-degs when
-    the same start moves at a 90-degree phase, else --gamma-degs."""
-    if moves_at_90:
-        return f"--del-lam-degs {args.del_lam_degs!r}"
-    return f"--gamma-degs {args.gamma_degs!r}"
+def _refuse_frozen(
+    args: argparse.Namespace, gamma: float, del_lam: float, step: str | None = None
+) -> NoReturn:
+    """Refuse a start that never moves, naming `step` while the computed first step is
+    nonzero, else --del-lam-degs if the start moves at 90 degrees, else --gamma-degs."""
+    if step is None or dbar_gamma(gamma, gamma, del_lam) == 0.0:
+        if gamma - dbar_gamma(gamma, gamma, 0.5 * math.pi) != gamma:
+            step = f"--del-lam-degs {args.del_lam_degs!r}"
+        else:
+            step = f"--gamma-degs {args.gamma_degs!r}"
+    raise UsageError(f"{step}: {_NEVER_MOVES}")
 
 
 def _check_moves(args: argparse.Namespace, gamma: float, del_lam: float) -> None:
     """Refuse a start that its first step leaves unchanged at a del_lam in (0, pi)."""
     frozen = gamma - dbar_gamma(gamma, gamma, del_lam) == gamma
     if frozen and 0.0 < gamma and 0.0 < del_lam < math.pi:
-        moves_at_90 = gamma - dbar_gamma(gamma, gamma, 0.5 * math.pi) != gamma
-        raise UsageError(f"{_stalling_flag(args, moves_at_90)}: {_NEVER_MOVES}")
+        _refuse_frozen(args, gamma, del_lam)
 
 
 def _params(args: argparse.Namespace) -> AfgaParams:
@@ -128,7 +132,7 @@ def _cmd_grover(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     del_lam = _del_lam(args)
-    # every search start (nb in [1, 24]) moves at 90 degrees, so a refusal names --del-lam-degs
+    # every search start (nb in [1, MAX_NB]) moves at 90 degrees, so a refusal names --del-lam-degs
     _check_moves(args, _start_angle(args.nb, args.target_index), del_lam)
     trace = run_afga_search(
         args.nb,
@@ -179,10 +183,7 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     # on (0, 180) degrees the start slope is 0, and one sample the fixed point, only at del_lam = 0
     if len(trace.t) == 1 and del_lam > 0.0:
         h, flag = min((args.step_size, "--step-size"), (args.t_max, "--t-max"))
-        named = f"{flag} {h!r}"
-        if dbar_gamma(gamma, gamma, del_lam) == 0.0:  # the computed start slope underflowed
-            named = _stalling_flag(args, dbar_gamma(gamma, gamma, 0.5 * math.pi) != 0.0)
-        raise UsageError(f"{named}: {_NEVER_MOVES}")
+        _refuse_frozen(args, gamma, del_lam, f"{flag} {h!r}")
     if args.out is not None or not args.fit_rate:
         _write(args.out, continuum_csv(trace))
     if args.fit_rate:
@@ -246,7 +247,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_grover)
 
     p = sub.add_parser("search", help="adaptive search over 2^nb basis states")
-    p.add_argument("--nb", type=int, required=True, help="number of bits, 1..24")
+    p.add_argument("--nb", type=int, required=True, help=f"number of bits, 1..{MAX_NB}")
     _add_del_lam(p, required=False)
     p.add_argument("--target-index", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6, help="stop at success >= 1 - tol")

@@ -94,11 +94,6 @@ def init_uniform(nb: int, target_index: int = 0) -> SearchState:
     return SearchState(nb, amps, target_index)
 
 
-def _target_phase_inplace(amps: np.ndarray, target_index: int, factor: complex) -> None:
-    """e^{i phase |t><t|} with factor = e^{i phase}: scales the target amplitude."""
-    amps[target_index] *= factor
-
-
 def _sprime_phase_inplace(amps: np.ndarray, factor: complex, add_reduce) -> None:
     """e^{i phase |s'><s'|}: adds (factor - 1) <s'|psi> |s'>, the mean in every entry.
 
@@ -111,7 +106,7 @@ def _sprime_phase_inplace(amps: np.ndarray, factor: complex, add_reduce) -> None
 def apply_target_phase(state: SearchState, phase: float) -> SearchState:
     """e^{i phase |t><t|}: multiplies the target amplitude alone."""
     amps = state.amps.copy()
-    _target_phase_inplace(amps, state.target_index, cmath.exp(1.0j * phase))
+    amps[state.target_index] *= cmath.exp(1.0j * phase)
     return SearchState(state.nb, amps, state.target_index)
 
 
@@ -158,7 +153,7 @@ def run_afga_search(
     for _, _, alpha_j in islice(iter_angles(gamma, del_lam), max_steps):
         if success[-1] >= goal:
             break
-        _target_phase_inplace(amps, target_index, target_factor)
+        amps[target_index] *= target_factor
         _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j), add_reduce)
         success.append(_success(amps, target_index))
     return SearchTrace(success, success[-1] >= goal, gamma, del_lam)

@@ -346,6 +346,24 @@ def test_cli_refuses_exactly_the_frozen_starts(capsys):
     capsys.readouterr()
 
 
+def test_moves_at_90_degrees_whether_read_from_the_step_or_the_start():
+    # at 90 degrees a first step rounds away from a start below 180 only by
+    # underflowing: the refusal's test `g - step != g` reads as `step != 0.0`
+    degs = [m * 10.0**-k for k in range(324) for m in (1.0, 2.5)]
+    degs += [180.0 - 10.0**-k for k in range(16) if 180.0 - 10.0**-k < 180.0]
+    below_180 = [180.0]
+    for _ in range(40):
+        below_180.append(math.nextafter(below_180[-1], 0.0))
+    degs += below_180[1:]
+    outcomes = set()
+    for gamma_degs in degs:
+        g = math.radians(gamma_degs)
+        step = dbar_gamma(g, g, math.pi / 2)
+        assert (step != 0.0) == (g - step != g), gamma_degs
+        outcomes.add(step != 0.0)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--t-max", "inf"), ("--t-max", "nan"), ("--step-size", "nan")]
 )

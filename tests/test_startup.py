@@ -22,8 +22,12 @@ SCALAR_COMMANDS = [
 ]
 # the del_lam = 180 trap: refused (exit 2) before the amplitudes are allocated
 REFUSED_SEARCH = ["search", "--nb", "6", "--del-lam-degs", "180"]
-# a start whose first step rounds away: refused (exit 1) before numpy loads
-STILL_SEARCH = ["search", "--nb", "6", "--del-lam-degs", "1e-15"]
+# starts whose first step rounds away: refused (exit 1) without numpy
+STILL_STARTS = [
+    ["search", "--nb", "6", "--del-lam-degs", "1e-15"],
+    ["continuum", "--gamma-degs", "1e-200", "--del-lam-degs", "90"],
+    ["continuum", "--gamma-degs", "90", "--del-lam-degs", "90", "--step-size", "1e-20"],
+]
 
 # argv: "block" or "allow", then the commands as JSON; prints
 # [exit code, stdout, stderr] for each
@@ -69,14 +73,14 @@ def test_qubit_traces_read_with_numpy_blocked():
 
 
 def test_scalar_commands_run_with_numpy_blocked():
-    commands = SCALAR_COMMANDS + [REFUSED_SEARCH, STILL_SEARCH]
+    commands = SCALAR_COMMANDS + [REFUSED_SEARCH] + STILL_STARTS
     blocked = json.loads(run_python(_RUN_COMMANDS, "block", json.dumps(commands)).stdout)
     allowed = json.loads(run_python(_RUN_COMMANDS, "allow", json.dumps(commands)).stdout)
     assert len(blocked) == len(allowed) == len(commands)
     for argv, (code, out, err), want in zip(commands, blocked, allowed):
         if argv is REFUSED_SEARCH:
             assert code == 2 and out == "" and "cycles" in err, argv
-        elif argv is STILL_SEARCH:
+        elif argv in STILL_STARTS:
             assert code == 1 and out == "" and "never moves" in err, argv
         else:
             assert code == 0 and out and err == "", argv
