@@ -4,10 +4,13 @@ The start state is the uniform superposition, so the angle between start
 and target is gamma = 2 arccos(2^{-nb/2}) and the run stays in the span of
 the target and the uniform superposition of the rest.  A run updates one
 vector of 16 * 2^nb bytes in place and holds O(1) more: both phase operators
-are rank-1 updates, no 2^nb x 2^nb matrix.  A step makes three passes over
-memory: the s'-phase reads the vector once for its sum, whose quotient by
-2^nb is the mean, then reads and writes it once to add the scaled mean; the
-target phase and the success read touch one entry.
+are rank-1 updates, no 2^nb x 2^nb matrix.  A step makes one pass over
+memory: the s'-phase reads and writes every entry once to add the scaled
+mean; the target phase and the success read touch one entry.  The mean
+needs no pass of its own.  The run carries the sum of the amplitudes,
+<s'|psi> 2^{nb/2}, as one complex number: |s'> is an eigenvector of the
+s'-phase with eigenvalue e^{i alpha_j}, so that phase multiplies the sum,
+and the target phase adds the change of the one entry it moves.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
 
 MAX_NB = 24
 # 1 - success bottoms out at the rounding of the amplitudes, measured at up to
-# 3.1e-12 (nb = 19, del_lam = 10 degrees); a tol below this floor is refused
+# 3.2e-12 (nb = 19, del_lam = 10 degrees); a tol below this floor is refused
 TOL_FLOOR = 1e-10
 
 
@@ -94,13 +97,16 @@ def init_uniform(nb: int, target_index: int = 0) -> SearchState:
     return SearchState(nb, amps, target_index)
 
 
-def _sprime_phase_inplace(amps: np.ndarray, factor: complex, add_reduce) -> None:
+def _sprime_phase_inplace(amps: np.ndarray, factor: complex, total: complex) -> complex:
     """e^{i phase |s'><s'|}: adds (factor - 1) <s'|psi> |s'>, the mean in every entry.
 
-    add_reduce is numpy.add.reduce, the sum of amps.sum() without its Python
-    wrapper; over len(amps) = 2^nb, a power of two, it is amps.mean() bitwise.
+    total is the sum of amps, <s'|psi> sqrt(len(amps)); its quotient by
+    len(amps) = 2^nb, a power of two, is the mean.  |s'> is an eigenvector of
+    the phase with eigenvalue factor, so the sum afterwards is factor * total,
+    which is returned.
     """
-    amps += (factor - 1.0) * (complex(add_reduce(amps)) / len(amps))
+    amps += (factor - 1.0) * (total / len(amps))
+    return factor * total
 
 
 def apply_target_phase(state: SearchState, phase: float) -> SearchState:
@@ -112,9 +118,8 @@ def apply_target_phase(state: SearchState, phase: float) -> SearchState:
 
 def apply_sprime_phase(state: SearchState, phase: float) -> SearchState:
     """e^{i phase |s'><s'|} with |s'> uniform, on a copy of the state."""
-    import numpy as np
     amps = state.amps.copy()
-    _sprime_phase_inplace(amps, cmath.exp(1.0j * phase), np.add.reduce)
+    _sprime_phase_inplace(amps, cmath.exp(1.0j * phase), complex(amps.sum()))
     return SearchState(state.nb, amps, state.target_index)
 
 
@@ -145,15 +150,17 @@ def run_afga_search(
     else:
         _check_steps("max_steps", max_steps)
     amps = init_uniform(nb, target_index).amps
-    import numpy as np
-    add_reduce = np.add.reduce
+    # the sum of the 2^nb equal start amplitudes, exact: a power-of-two scaling
+    total = complex(2**nb * 2.0 ** (-0.5 * nb))
     target_factor = cmath.exp(1.0j * del_lam)
     goal = 1.0 - tol
     success = [_success(amps, target_index)]
     for _, _, alpha_j in islice(iter_angles(gamma, del_lam), max_steps):
         if success[-1] >= goal:
             break
-        amps[target_index] *= target_factor
-        _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j), add_reduce)
+        a_t = amps.item(target_index)
+        amps[target_index] = a_t * target_factor
+        total += (target_factor - 1.0) * a_t
+        total = _sprime_phase_inplace(amps, cmath.exp(1.0j * alpha_j), total)
         success.append(_success(amps, target_index))
     return SearchTrace(success, success[-1] >= goal, gamma, del_lam)
