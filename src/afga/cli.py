@@ -2,8 +2,10 @@
 
 All angles cross this boundary in degrees and are converted to radians
 immediately; tables and traces go to stdout unless --out names a file.
-Exit codes: 0 on success, 1 on bad usage or unwritable output, 2 when an
-iteration or integration fails to converge.
+The exception class alone states the exit code, and main alone maps it: 0
+once the command returns, 1 on a ValueError (a request that cannot be met,
+as bad usage or a run past the step cap), 2 on an ArithmeticError (the
+numerics failed, as a cycle or a stall).
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ _NEVER_MOVES = (
 )
 
 
-class UsageError(Exception):
-    """Bad command line or unwritable output; mapped to exit code 1."""
+class UsageError(ValueError):
+    """Bad command line or unwritable output; a ValueError, so exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +73,7 @@ def _gamma(args: argparse.Namespace) -> float:
     x, domain = args.gamma_degs, args.gamma_domain
     lo, hi = map(float, domain[1:-1].split(","))
     if (lo <= x if domain[0] == "[" else lo < x) and x < hi:  # every domain is open at 180
-        return math.radians(x)
+        return math.radians(x) + 0.0  # -0 becomes 0, so no output prints -0.0
     reason = ("; at 180 the start state is antipodal to the target, where no step moves it"
               if x >= 180.0 else "; at 0 the start is the target" if x == 0.0 else "")
     raise UsageError(f"--gamma-degs must lie in {domain} degrees, got {x:g}{reason}")
@@ -81,7 +83,7 @@ def _del_lam(args: argparse.Namespace) -> float:
     degs = args.del_lam_degs
     if not 0.0 <= degs <= 180.0:
         raise UsageError(f"--del-lam-degs must lie in [0, 180] degrees, got {degs:g}")
-    return math.radians(degs)
+    return math.radians(degs) + 0.0
 
 
 def _refuse_frozen(
@@ -110,27 +112,24 @@ def _params(args: argparse.Namespace) -> AfgaParams:
     return p
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
+def _cmd_schedule(args: argparse.Namespace) -> None:
     params = _params(args)
     rows = build_schedule(params)
     if args.format == "csv":
         _write(args.out, schedule_csv(rows))
     else:
         _write(args.out, emit_afga_txt(rows, params))
-    return 0
 
 
-def _cmd_qubit(args: argparse.Namespace) -> int:
+def _cmd_qubit(args: argparse.Namespace) -> None:
     _write(args.out, err_trace_csv(run_afga_qubit(_params(args))))
-    return 0
 
 
-def _cmd_grover(args: argparse.Namespace) -> int:
+def _cmd_grover(args: argparse.Namespace) -> None:
     _write(args.out, err_trace_csv(run_grover_qubit(_gamma(args), args.num_steps)))
-    return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> None:
     del_lam = _del_lam(args)
     # every search start (nb in [1, MAX_NB]) moves at 90 degrees, so a refusal names --del-lam-degs
     _check_moves(args, _start_angle(args.nb, args.target_index), del_lam)
@@ -146,16 +145,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"steps = {trace.steps}")
     print(f"success = {trace.final_success!r}")
     if not trace.converged:
-        print(
-            f"error: success stayed below 1 - {args.tol:g} "
-            f"through {trace.steps} steps",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+        raise ConvergenceError(f"success stayed below 1 - {args.tol:g} through {trace.steps} steps")
 
 
-def _cmd_saturation(args: argparse.Namespace) -> int:
+def _cmd_saturation(args: argparse.Namespace) -> None:
     if args.n_tail < 1:
         raise UsageError(f"n_tail must be >= 1, got {args.n_tail}")
     try:
@@ -171,10 +164,9 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
     print(f"big_gamma(degs) = {_fraction_str(report.big_gamma_degs)}")
     if dev is not None:
         print(f"tail_dev(rads) = {dev:.4e}")
-    return 0
 
 
-def _cmd_continuum(args: argparse.Namespace) -> int:
+def _cmd_continuum(args: argparse.Namespace) -> None:
     gamma, del_lam = _gamma(args), _del_lam(args)
     if args.fit_rate and del_lam == 0.0:
         raise UsageError("--fit-rate needs --del-lam-degs above 0: at 0 the flow is stationary"
@@ -188,7 +180,6 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
         _write(args.out, continuum_csv(trace))
     if args.fit_rate:
         print(f"tail_rate = {fit_tail_rate(trace)!r}")
-    return 0
 
 
 def _add_gamma(p: argparse.ArgumentParser, domain: str, type=float) -> None:
@@ -284,18 +275,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code, the one place that picks it."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except (UsageError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2
+    return 0
 
 
 if __name__ == "__main__":

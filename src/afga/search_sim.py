@@ -137,8 +137,9 @@ def run_afga_search(
     tell a stalled run from invalid input, which raises ValueError).  The
     default max_steps is ten times the step count predicted by the scalar
     recursion, which raises ConvergenceError where it cycles (del_lam = 0
-    or pi); pass max_steps, at most MAX_SCHEDULE_STEPS, to study the
-    trapped case.  Every check runs before the 2^nb vector is allocated.
+    or pi) and ValueError where it needs more than MAX_SCHEDULE_STEPS steps;
+    pass max_steps, at most MAX_SCHEDULE_STEPS, to study the trapped case.
+    Every check runs before the 2^nb vector is allocated.
     """
     if not TOL_FLOOR <= tol < 1.0:
         raise ValueError(f"tol must lie in [{TOL_FLOOR:g}, 1), got {tol}")

@@ -1,5 +1,9 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import ast
+import builtins
+import importlib
+import itertools
 import math
 import re
 import shlex
@@ -10,9 +14,9 @@ import pytest
 
 import afga.asymptotics
 import afga.cli
-from afga.cli import main
+from afga.cli import UsageError, main
 from afga.formats import parse_afga_txt
-from afga.schedule import dbar_gamma
+from afga.schedule import ConvergenceError, dbar_gamma
 from helpers import GOLDEN_AFGA, assert_tables_match, run_python
 
 GOLDEN_ARGS = [
@@ -77,6 +81,21 @@ def test_schedule_stdout_is_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.startswith("gamma(degs) = 1.7315e+02\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "afga-txt"])
+@pytest.mark.parametrize("flag", ["--gamma-degs", "--del-lam-degs"])
+def test_negative_zero_angle_reads_as_zero(capsys, flag, fmt):
+    # -0 degrees is 0 degrees: no table prints -0.0 for it
+    def run(value):
+        args = {"--gamma-degs": "90", "--del-lam-degs": "90", flag: value}
+        assert main(["schedule", *itertools.chain(*args.items()), "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    zero = run("0")
+    assert run("-0") == zero
+    assert "-0.0" not in zero
+    assert run("-0.0") == zero
 
 
 def test_schedule_csv_format(capsys):
@@ -506,8 +525,10 @@ def test_continuum_small_del_lam_runs(capsys):
         ["grover", "--gamma-degs", "90", "--num-steps", "1000001"],
         ["saturation", "--gamma-degs", "179.99999", "--check-tail"],
         ["saturation", "--gamma-degs", "179.99999999", "--check-tail"],
+        # the default step prediction walks the whole cap, about 0.5 s
+        ["search", "--nb", "10", "--del-lam-degs", "0.5", "--tol", "1e-10"],
     ],
-    ids=["schedule", "qubit", "grover", "saturation", "saturation-far"],
+    ids=["schedule", "qubit", "grover", "saturation", "saturation-far", "search"],
 )
 def test_runs_past_the_step_cap_exit_1(capsys, argv):
     assert main(argv) == 1
@@ -517,6 +538,9 @@ def test_runs_past_the_step_cap_exit_1(capsys, argv):
     if argv[0] == "saturation":
         # the user passed no step count: the message names the landing step
         assert "j_sat" in captured.err and "num_steps" not in captured.err
+    if argv[0] == "search":
+        want = "|gamma_j| did not fall below 2.0000000000333336e-05 within the 1000000-step cap"
+        assert captured.err == f"error: {want}\n"
 
 
 def test_saturation_tail_past_the_cap_names_n_tail(capsys):
@@ -559,6 +583,81 @@ def test_convergence_errors_exit_2(capsys):
     rc = main(["search", "--nb", "4", "--del-lam-degs", "180"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_exception_classes_carry_the_exit_code():
+    # main maps ValueError to 1 and ArithmeticError to 2
+    assert issubclass(UsageError, ValueError)
+    assert issubclass(ConvergenceError, ArithmeticError)
+    assert issubclass(ConvergenceError, RuntimeError)  # so `except RuntimeError` still catches it
+    assert not issubclass(UsageError, ArithmeticError)
+    assert not issubclass(ConvergenceError, ValueError)
+
+
+def _raises(node, func=None):
+    """(enclosing function name, Raise node) for every raise statement under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield func, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _raises(child, inner)
+
+
+def test_every_raise_maps_to_an_exit_code():
+    # main catches ValueError (exit 1) and ArithmeticError (exit 2); any other
+    # class would escape it as a traceback
+    src = Path(afga.cli.__file__).parent
+    checked = 0
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"afga.{path.stem}" if path.stem != "__init__" else "afga")
+        for func, node in _raises(ast.parse(path.read_text())):
+            where = f"{path.name}:{node.lineno}"
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert isinstance(exc, ast.Name), f"{where}: raises no named class"
+            cls = getattr(module, exc.id, None) or getattr(builtins, exc.id)
+            if (func, cls) == ("__getattr__", AttributeError):
+                continue  # the import protocol's lookup miss, never raised by a command
+            assert issubclass(cls, (ValueError, ArithmeticError)), f"{where}: {exc.id}"
+            checked += 1
+    assert checked  # the walk found the raises
+
+
+def test_saturation_tail_that_fails_to_alternate_exits_2(capsys, monkeypatch):
+    def stuck(gamma, *_):  # a walk that never leaves its start: the tail never changes sign
+        return iter(lambda: (gamma, 0.0), None)
+
+    monkeypatch.setattr(afga.asymptotics, "_walk", stuck)
+    assert main(["saturation", "--gamma-degs", "164", "--check-tail"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tail failed to alternate at gamma = 164 degrees\n"
+
+
+def test_continuum_positive_slope_exits_2(capsys, monkeypatch):
+    # mu = -1 puts the start slope gamma - g - mu at +1
+    monkeypatch.setattr(afga.asymptotics, "mu_of_g", lambda *args: -1.0)
+    assert main(["continuum", "--gamma-degs", "90", "--del-lam-degs", "90"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: positive slope at g = 1.5707963267948966; flow must decay\n"
+
+
+def test_continuum_step_size_underflow_exits_2(capsys, monkeypatch):
+    # the start slope is real, and every later stage leaves the flow's domain
+    real, calls = afga.asymptotics.mu_of_g, []
+
+    def start_slope_only(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ValueError("stage outside [0, gamma]")
+        return real(*args)
+
+    monkeypatch.setattr(afga.asymptotics, "mu_of_g", start_slope_only)
+    assert main(["continuum", "--gamma-degs", "90", "--del-lam-degs", "90"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step size underflow at t = 0.0: local error stayed above 1e-08\n"
+    assert len(calls) == 1 + afga.asymptotics._MAX_HALVINGS  # one refused stage per halving
 
 
 def test_help_exits_0(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import afga.schedule
 from afga.asymptotics import integrate_continuum
 from afga.bloch import rotate
 from afga.schedule import (
@@ -20,6 +22,7 @@ from afga.schedule import (
     build_schedule,
     dbar_gamma,
     iter_angles,
+    _walk,
     polar_unit_vec,
     steps_to_tolerance,
 )
@@ -294,6 +297,18 @@ def test_steps_to_tolerance_raises_in_trap():
             steps_to_tolerance(1.0, 1.0, **bad)
 
 
+def test_steps_to_tolerance_at_the_cap_raises_value_error(monkeypatch):
+    # 2.0 rad at del_lam = 1e-6 needs far more than 2000 steps: a caller's
+    # smaller limit is a run that did not converge, the cap a request that
+    # cannot be met
+    monkeypatch.setattr(afga.schedule, "MAX_SCHEDULE_STEPS", 2000)
+    with pytest.raises(ConvergenceError, match="within 1999 steps"):
+        steps_to_tolerance(2.0, 1e-6, 1e-9, max_steps=1999)
+    with pytest.raises(ValueError, match="within the 2000-step cap") as info:
+        steps_to_tolerance(2.0, 1e-6, 1e-9, max_steps=2000)
+    assert not isinstance(info.value, ArithmeticError)
+
+
 @pytest.mark.parametrize("del_lam", [-1e-9, math.nan, math.pi + 1e-9])
 @pytest.mark.parametrize(
     "run",
@@ -387,6 +402,24 @@ def test_dbar_gamma_is_the_arc_step_bitwise(gamma, gamma_j, del_lam):
     # stepping loops share with dbar_gamma
     want = -gamma + gamma_j + arc_rj_sprime(gamma, gamma_j, del_lam)
     assert dbar_gamma(gamma, gamma_j, del_lam).hex() == want.hex()
+
+
+def test_dbar_gamma_docstring_rounding_floor():
+    # the docstring's figure: over 3,000 random 300-step runs, 0.9% of steps
+    # increase |gamma_j|, none past 149 ulps of gamma (seed 0 reads 0.90%
+    # and 44 ulps; seeds 1 to 5 read 0.69% to 0.93% and up to 57 ulps)
+    rng = random.Random(0)
+    rises, worst, lo, hi = 0, 0.0, 0.001, math.pi - 0.001
+    for _ in range(3000):
+        gamma, del_lam = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        prev = gamma
+        for gamma_j, _ in itertools.islice(_walk(gamma, del_lam, gamma), 1, 301):
+            if abs(gamma_j) > abs(prev):
+                rises += 1
+                worst = max(worst, (abs(gamma_j) - abs(prev)) / math.ulp(gamma))
+            prev = gamma_j
+    assert round(100.0 * rises / 900_000, 1) <= 0.9
+    assert worst <= 149.0
 
 
 @settings(max_examples=300, deadline=None)
