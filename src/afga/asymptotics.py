@@ -39,8 +39,8 @@ __all__ = [
     "fit_tail_rate",
 ]
 
-_LOCAL_ERR_TOL = 1e-8
-_MAX_HALVINGS = 40
+_ERR_ABS, _ERR_REL = 1e-13, 1e-10  # a step's local error bound is min(1e-13, 1e-10 g)
+_MAX_TRIALS = 40
 _DOMAIN_EPS = 1e-12
 _TAIL_WINDOW = (1e-8, 1e-2)  # g_min < g < g_max for the tail-rate fit
 
@@ -135,18 +135,28 @@ def integrate_continuum(
 ) -> ContinuumTrace:
     """Integrate the continuum flow from g(0) = gamma out to t_max.
 
-    Dormand-Prince 5(4): a trial step keeps its 5th-order value and is
-    accepted only if the embedded 4th-order estimate puts its local error
-    within 1e-8, else it is retried at half size, as is a trial whose stage
-    leaves the flow's domain [0, gamma].  The pair is first same as last:
-    the slope at an accepted value starts the next step, so a trace costs
-    one start slope plus 6 slope evaluations per trial.  sin(gamma) and
-    sin(del_lam / 2) are computed once per run, and each slope is one call
-    of mu_of_g with them, so counting mu_of_g calls counts the slopes.  The
-    slope must stay non-positive at every accepted step, and g is clamped
-    at 0.  The trace ends early at g = 0 or at the first step that returns
-    g itself, since each later step would repeat that one; a run still
-    going after MAX_SCHEDULE_STEPS accepted steps raises ValueError.
+    Dormand-Prince 5(4) with the standard step-size controller (Hairer,
+    Norsett and Wanner, Solving ODEs I, sec. II.4).  A trial of length h
+    keeps its 5th-order value and is accepted when the embedded estimate
+    err is within tol = max(min(1e-13, 1e-10 g), h ulp(gamma) / 2); else h
+    shrinks by max(0.2, 0.9 (tol / err)^(1/5)), or halves when a stage
+    leaves the flow's domain [0, gamma].  An accepted step grows the next
+    trial by min(5, 0.9 (tol / err)^(1/5)), up to t_max - t; step_size is
+    the first trial.  The floor h ulp(gamma) / 2 covers the slope's own
+    rounding: gamma - g - mu(g) is off by up to 2 ulps of gamma at any g,
+    which a shorter step does not reduce, and a floor of 1e-18 ran slow
+    flows into the step cap.  A slope without that cancellation would let
+    the floor fall.
+
+    The pair is first same as last: the slope at an accepted value starts
+    the next step, so a trace costs one start slope plus 6 slope
+    evaluations per trial.  sin(gamma) and sin(del_lam / 2) are computed
+    once per run, and each slope is one call of mu_of_g with them, so
+    counting mu_of_g calls counts the slopes.  The slope must stay
+    non-positive at every accepted step, and g is clamped at 0.  The trace
+    ends early at g = 0 or at the first step that does not lower g, where
+    the flow has reached the floor of its rounding; a run still going after
+    MAX_SCHEDULE_STEPS accepted steps raises ValueError.
     """
     if not 0.0 < gamma <= math.pi:
         raise ValueError(f"gamma must lie in (0, pi], got {gamma}")
@@ -156,17 +166,18 @@ def integrate_continuum(
             f"t_max and step_size must be finite and > 0, got {t_max} and {step_size}"
         )
 
-    sin_g, sin_half_dl = sin(gamma), sin(0.5 * del_lam)
+    sin_g, sin_half_dl, half_ulp = sin(gamma), sin(0.5 * del_lam), 0.5 * math.ulp(gamma)
     ts, gs = [0.0], [gamma]
-    t, g = 0.0, gamma
+    t, g, h = 0.0, gamma, step_size
     k1 = gamma - g - mu_of_g(g, gamma, sin_g, sin_half_dl)
     while t < t_max and g > 0.0:
         if len(ts) > MAX_SCHEDULE_STEPS:
             raise ValueError(f"the flow runs past the {MAX_SCHEDULE_STEPS}-step cap at t = {t}")
         if k1 > _DOMAIN_EPS:
             raise ArithmeticError(f"positive slope at g = {g}; flow must decay")
-        h = min(step_size, t_max - t)
-        for _ in range(_MAX_HALVINGS):
+        tol_g = min(_ERR_ABS, _ERR_REL * g)
+        h = min(h, t_max - t)
+        for _ in range(_MAX_TRIALS):
             try:  # a Dormand-Prince 5(4) trial, each stage summed left to right
                 x = g + h * (1 / 5 * k1)
                 k2 = gamma - x - mu_of_g(x, gamma, sin_g, sin_half_dl)
@@ -183,23 +194,25 @@ def integrate_continuum(
                 y = g + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                              - 2187 / 6784 * k5 + 11 / 84 * k6)
                 k7 = gamma - y - mu_of_g(y, gamma, sin_g, sin_half_dl)
-                err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
-                           - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
-                if abs(err) <= _LOCAL_ERR_TOL:
+                err = abs(h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                               - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7))
+                tol = max(tol_g, h * half_ulp)
+                if err <= tol:
                     break
+                h *= max(0.2, 0.9 * (tol / err) ** 0.2)
             except ValueError:
-                pass  # a stage left [0, gamma], where mu_of_g refuses
-            h *= 0.5
+                h *= 0.5  # a stage left [0, gamma], where mu_of_g refuses
         else:
             raise ArithmeticError(
-                f"step size underflow at t = {t}: local error stayed above {_LOCAL_ERR_TOL}"
+                f"step size underflow at t = {t}: local error stayed above {tol_g}"
             )
         g_next = max(y, 0.0)
-        if g_next == g:
-            break  # a fixed point: each later pass would repeat this one
+        if g_next >= g:
+            break  # the step no longer lowers g: the flow is at its rounding floor
         t, g, k1 = t + h, g_next, k7
         ts.append(t)
         gs.append(g)
+        h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (tol / err) ** 0.2)
     return ContinuumTrace(ts, gs)
 
 

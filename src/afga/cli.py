@@ -262,7 +262,7 @@ def _build_parser() -> _Parser:
     _add_gamma(p, "(0, 180)")
     _add_del_lam(p)
     p.add_argument("--t-max", type=float, default=60.0, help="finite, > 0")
-    p.add_argument("--step-size", type=float, default=0.01, help="finite, > 0")
+    p.add_argument("--step-size", type=float, default=0.01, help="first trial step, finite, > 0")
     p.add_argument(
         "--fit-rate",
         action="store_true",

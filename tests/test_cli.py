@@ -511,6 +511,18 @@ def test_continuum_fit_at_del_lam_0_exits_1_before_integrating(capsys, monkeypat
     assert "--del-lam-degs above 0" in captured.err and "stationary" in captured.err
 
 
+def test_continuum_slow_flow_fit_exits_1_at_once(capsys):
+    # rate 1 - cos(0.001 degrees) = 1.5e-10: by t = 20000 the flow has not
+    # reached the fit window, and the trace takes 101 samples, not the cap
+    argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "0.001", "--t-max", "20000"]
+    assert main(argv + ["--fit-rate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tail window holds fewer than 2 samples; integrate to larger t_max\n"
+    )
+
+
 def test_continuum_small_del_lam_runs(capsys):
     argv = ["continuum", "--gamma-degs", "90", "--del-lam-degs", "1e-9", "--t-max", "1"]
     assert main(argv) == 0
@@ -656,8 +668,8 @@ def test_continuum_step_size_underflow_exits_2(capsys, monkeypatch):
     assert main(["continuum", "--gamma-degs", "90", "--del-lam-degs", "90"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: step size underflow at t = 0.0: local error stayed above 1e-08\n"
-    assert len(calls) == 1 + afga.asymptotics._MAX_HALVINGS  # one refused stage per halving
+    assert captured.err == "error: step size underflow at t = 0.0: local error stayed above 1e-13\n"
+    assert len(calls) == 1 + afga.asymptotics._MAX_TRIALS  # one refused stage per trial
 
 
 def test_help_exits_0(capsys):
